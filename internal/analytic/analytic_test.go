@@ -574,3 +574,16 @@ func TestWaitStatistics(t *testing.T) {
 		t.Error("full buffer should eliminate waiting")
 	}
 }
+
+// SingleOp returns a Mix that issues only the given operation with
+// duration distribution d: the mix under which HitMix must equal Hit.
+func SingleOp(op Op, d dist.Distribution) Mix {
+	switch op {
+	case FF:
+		return Mix{PFF: 1, FF: d}
+	case RW:
+		return Mix{PRW: 1, RW: d}
+	default:
+		return Mix{PPAU: 1, PAU: d}
+	}
+}

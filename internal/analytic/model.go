@@ -306,19 +306,6 @@ func (x Mix) Validate() error {
 	return nil
 }
 
-// SingleOp returns a Mix that issues only the given operation with
-// duration distribution d.
-func SingleOp(op Op, d dist.Distribution) Mix {
-	switch op {
-	case FF:
-		return Mix{PFF: 1, FF: d}
-	case RW:
-		return Mix{PRW: 1, RW: d}
-	default:
-		return Mix{PPAU: 1, PAU: d}
-	}
-}
-
 // HitMix returns the expected hit probability of paper Eq. (22):
 // P(hit) = P(hit|FF)·P_FF + P(hit|RW)·P_RW + P(hit|PAU)·P_PAU.
 func (m *Model) HitMix(x Mix) (float64, error) {

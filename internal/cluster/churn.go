@@ -343,7 +343,7 @@ type churnEvent struct {
 	seq   uint64
 	movie int
 	node  string
-	disk  int // serving disk of a gray-run cevDeparture
+	disk  int // serving disk of a cevDeparture (0 on non-gray runs)
 	epoch int
 	gray  int // index into cfg.Gray for cevGraySet/cevGrayClear
 	mig   Migration
@@ -396,8 +396,10 @@ type churnRun struct {
 	// entry, matching the pre-disk model exactly); grayRNG is the
 	// dedicated jitter stream; waits holds every post-warmup admitted
 	// wait for result-time quantiles (its sum/max/len — not the slice —
-	// feed the digest).
+	// feed the digest). waitFn is nodeWait on gray runs and nil
+	// otherwise, so the router measures nothing there.
 	grayOn                        bool
+	waitFn                        func(node, disk, liveAfter int) float64
 	graySlow, graySigma, grayFrac [][]float64
 	grayRNG                       *rand.Rand
 	waits                         []float64
@@ -448,6 +450,7 @@ func newChurnRun(cfg ChurnConfig) (*churnRun, error) {
 	}
 	if cfg.grayActive() {
 		r.grayOn = true
+		r.waitFn = r.nodeWait
 		if err := router.SetGrayPolicy(cfg.Policy, cfg.Health); err != nil {
 			return nil, err
 		}
@@ -576,13 +579,9 @@ func (r *churnRun) step() (bool, error) {
 			r.push(churnEvent{t: next, kind: cevTick})
 		}
 	case cevDeparture:
-		if r.grayOn {
-			// Gray departures drain the exact disk that served the stream,
-			// recorded at admission — replay-exact per-disk occupancy.
-			r.router.ReleaseDisk(r.movies[e.movie].Name, e.node, e.disk)
-		} else {
-			r.router.Release(r.movies[e.movie].Name, e.node)
-		}
+		// Departures drain the exact disk that served the stream,
+		// recorded at admission — replay-exact per-disk occupancy.
+		r.router.ReleaseDisk(r.movies[e.movie].Name, e.node, e.disk)
 	case cevArrival:
 		if e.epoch != r.epoch {
 			return true, nil // stale pre-boundary draw
@@ -605,19 +604,7 @@ func (r *churnRun) step() (bool, error) {
 				return true, nil
 			}
 		}
-		var (
-			d    LoadDecision
-			wait float64
-			disk int
-			err  error
-		)
-		if r.grayOn {
-			var gd GrayDecision
-			gd, err = r.router.RouteGray(r.movies[i].Name, e.t, r.nodeWait)
-			d, wait, disk = gd.LoadDecision, gd.Wait, gd.Disk
-		} else {
-			d, err = r.router.RouteLoad(r.movies[i].Name)
-		}
+		gd, err := r.router.RouteGray(r.movies[i].Name, e.t, r.waitFn)
 		if err != nil {
 			switch {
 			case errors.Is(err, ErrUnavailable):
@@ -633,7 +620,8 @@ func (r *churnRun) step() (bool, error) {
 			}
 			return true, nil
 		}
-		r.push(churnEvent{t: e.t + r.movies[i].Length, kind: cevDeparture, movie: i, node: d.Node, disk: disk})
+		d, wait := gd.LoadDecision, gd.Wait
+		r.push(churnEvent{t: e.t + r.movies[i].Length, kind: cevDeparture, movie: i, node: d.Node, disk: gd.Disk})
 		if measured {
 			r.admitted++
 			win.admitted++

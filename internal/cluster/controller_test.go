@@ -372,7 +372,7 @@ func TestControllerDegradationLadder(t *testing.T) {
 	}
 	// Saturate: fill the cluster to its stream capacity.
 	for i := 0; i < 40; i++ {
-		if _, err := router.RouteLoad(movies[i%4].Name); err != nil {
+		if _, err := router.RouteGray(movies[i%4].Name, 0, nil); err != nil {
 			break
 		}
 	}
@@ -402,7 +402,7 @@ func TestControllerDegradationLadder(t *testing.T) {
 	for _, m := range movies {
 		for i := 0; i < live; i++ {
 			for _, a := range p.Replicas(m.Name) {
-				router.Release(m.Name, a.Node)
+				router.ReleaseDisk(m.Name, a.Node, 0)
 			}
 		}
 	}

@@ -43,7 +43,7 @@ type Router struct {
 	down []bool
 	live []int // in-flight requests per node
 
-	// maxStreams is each node's stream capacity; RouteLoad (the churn
+	// maxStreams is each node's stream capacity; RouteGray (the churn
 	// path) sheds a host whose live load has reached it, while Route
 	// (the static path) ignores it for parity with pre-capacity runs.
 	maxStreams []int
@@ -56,8 +56,8 @@ type Router struct {
 	// Gray-failure resilience (see health.go): per-node latency trackers
 	// and quarantine states, the routing policy, and the global observed-
 	// wait ring that sets the hedging deadline. A Quarantined node is
-	// excluded from every routing path — Route and RouteLoad included —
-	// never just from the gray path.
+	// excluded from every routing path — Route included — never just
+	// from the gray policies.
 	policy      RoutePolicy
 	hcfg        HealthConfig
 	health      []nodeHealth
@@ -135,7 +135,9 @@ func (r *Router) SetNodeDown(id string, down bool) error {
 }
 
 // Route picks a node for one request of the movie and counts it as
-// in-flight there until Done is called with the chosen node.
+// in-flight there until Done is called with the chosen node. It is the
+// static path: node stream capacities are ignored, so its decisions
+// match runs from before capacity checks existed.
 func (r *Router) Route(movie string) (Decision, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -143,29 +145,76 @@ func (r *Router) Route(movie string) (Decision, error) {
 	if !ok {
 		return Decision{}, fmt.Errorf("%w: %q", ErrUnknownMovie, movie)
 	}
-	// Collect live hosts and their weights capacity/(1+live).
+	k, _, _, err := r.pickLocked(movie, hosts, false)
+	if err != nil {
+		return Decision{}, err
+	}
+	choice := hosts[k]
+	d := Decision{Node: r.ids[choice], Failover: r.down[hosts[0]]}
+	r.live[choice]++
+	r.stats.Routed++
+	if d.Failover {
+		r.stats.Failovers++
+	}
+	return d, nil
+}
+
+// pickLocked is the one replica choice every routing path makes. A host
+// is a candidate unless it is down or Quarantined, or (with capacity) its
+// live load has reached its stream budget. Probation hosts normally take
+// probes only, so they are candidates only when nothing healthier is.
+// Each candidate weighs its placed capacity over 1+live load, times its
+// squared health score under a health-aware policy. One Float64 is drawn
+// per multi-candidate decision and none otherwise, which keeps the
+// stream aligned across runs regardless of single-host movies in
+// between. It returns the chosen index into hosts with the candidates
+// (indexes into hosts) and their weights. With no candidate the request
+// is shed: ErrSaturated when some host was up but full, ErrUnavailable
+// otherwise. Lock held.
+func (r *Router) pickLocked(movie string, hosts []int, capacity bool) (choice int, up []int, wts []float64, err error) {
 	var (
-		up    []int
-		wts   []float64
-		total float64
+		upP         []int
+		wtsP        []float64
+		total, totP float64
+		alive       bool
 	)
 	for k, n := range hosts {
+		// A Quarantined host is deliberately out of service: it neither
+		// takes traffic nor counts as alive.
 		if r.down[n] || r.health[n].state == Quarantined {
 			continue
 		}
+		alive = true
+		if capacity && r.nodeFullLocked(n) {
+			continue
+		}
 		w := float64(r.cap[movie][k]) / float64(1+r.live[n])
-		up = append(up, n)
+		if r.policy != PolicyBlind {
+			s := r.scoreLocked(n)
+			w *= s * s
+		}
+		if r.health[n].state == Probation {
+			upP = append(upP, k)
+			wtsP = append(wtsP, w)
+			totP += w
+			continue
+		}
+		up = append(up, k)
 		wts = append(wts, w)
 		total += w
 	}
 	if len(up) == 0 {
-		r.stats.Sheds++
-		return Decision{}, fmt.Errorf("%w: %q", ErrUnavailable, movie)
+		up, wts, total = upP, wtsP, totP
 	}
-	choice := up[0]
+	if len(up) == 0 {
+		r.stats.Sheds++
+		if alive {
+			return 0, nil, nil, fmt.Errorf("%w: %q", ErrSaturated, movie)
+		}
+		return 0, nil, nil, fmt.Errorf("%w: %q", ErrUnavailable, movie)
+	}
+	choice = up[0]
 	if len(up) > 1 {
-		// One draw per multi-host decision keeps the stream aligned
-		// across runs regardless of single-host movies in between.
 		u := r.rng.Float64() * total
 		for k, w := range wts {
 			if u < w || k == len(up)-1 {
@@ -175,13 +224,7 @@ func (r *Router) Route(movie string) (Decision, error) {
 			u -= w
 		}
 	}
-	d := Decision{Node: r.ids[choice], Failover: r.down[hosts[0]]}
-	r.live[choice]++
-	r.stats.Routed++
-	if d.Failover {
-		r.stats.Failovers++
-	}
-	return d, nil
+	return choice, up, wts, nil
 }
 
 // Done releases one in-flight request previously routed to the node.
@@ -205,7 +248,7 @@ func (r *Router) Stats() RouterStats {
 // The methods below let a controller rebalance the catalog while
 // traffic flows: replicas are added and removed atomically under the
 // router's lock, so every Route call sees either the old or the new
-// replica set, never a partial one; and RouteLoad is the capacity-aware
+// replica set, never a partial one; and RouteGray is the capacity-aware
 // routing used by the churn simulator, which distinguishes "every host
 // down" from "hosts up but saturated" so shedding can be typed.
 
@@ -215,7 +258,7 @@ var ErrSaturated = errors.New("cluster: every live replica host is saturated")
 
 // AddReplica atomically adds a live replica of the movie on the node
 // with placed stream capacity n. New flows start landing on it with the
-// very next Route/RouteLoad call — the "atomic flow switch" a completed
+// very next Route/RouteGray call — the "atomic flow switch" a completed
 // migration performs.
 func (r *Router) AddReplica(movie, node string, n int) error {
 	r.mu.Lock()
@@ -244,7 +287,7 @@ func (r *Router) AddReplica(movie, node string, n int) error {
 // RemoveReplica atomically removes the movie's replica on the node.
 // The primary (the first host) and the last remaining replica cannot be
 // removed; viewers already streaming from the removed replica play out
-// (their Release still balances the books).
+// (their ReleaseDisk still balances the books).
 func (r *Router) RemoveReplica(movie, node string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -351,10 +394,10 @@ func (r *Router) NodeLoad(node string) (live, capacity int, err error) {
 	return r.live[i], r.maxStreams[i], nil
 }
 
-// LoadDecision is RouteLoad's outcome: the serving node, whether the
-// primary was down (failover), the chosen replica's placed stream
-// capacity, and the replica's live viewer count including this one —
-// the inputs of the contention-aware hit model.
+// LoadDecision is a capacity-aware routing outcome: the serving node,
+// whether the primary was down (failover), the chosen replica's placed
+// stream capacity, and the replica's live viewer count including this
+// one — the inputs of the contention-aware hit model.
 type LoadDecision struct {
 	Node     string
 	Failover bool
@@ -362,96 +405,9 @@ type LoadDecision struct {
 	Live     int
 }
 
-// RouteLoad picks a node for one request like Route, but additionally
-// respects node stream capacities (a host at capacity drops out of the
-// draw) and tracks per-replica live load. Typed failures: every host
-// down → ErrUnavailable; some host up but all at capacity →
-// ErrSaturated. Call Release(movie, node) when the viewer departs.
-func (r *Router) RouteLoad(movie string) (LoadDecision, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	hosts, ok := r.host[movie]
-	if !ok {
-		return LoadDecision{}, fmt.Errorf("%w: %q", ErrUnknownMovie, movie)
-	}
-	var (
-		up    []int // indexes into hosts
-		wts   []float64
-		total float64
-		alive bool
-	)
-	for k, n := range hosts {
-		// A Quarantined host is deliberately out of service: it neither
-		// takes traffic nor counts as alive (shedding with no routable
-		// host is typed ErrUnavailable, not ErrSaturated).
-		if r.down[n] || r.health[n].state == Quarantined {
-			continue
-		}
-		alive = true
-		if r.maxStreams[n] > 0 && r.live[n] >= r.maxStreams[n] {
-			continue
-		}
-		w := float64(r.cap[movie][k]) / float64(1+r.live[n])
-		up = append(up, k)
-		wts = append(wts, w)
-		total += w
-	}
-	if len(up) == 0 {
-		r.stats.Sheds++
-		if alive {
-			return LoadDecision{}, fmt.Errorf("%w: %q", ErrSaturated, movie)
-		}
-		return LoadDecision{}, fmt.Errorf("%w: %q", ErrUnavailable, movie)
-	}
-	choice := up[0]
-	if len(up) > 1 {
-		// Same single-draw discipline as Route: one Float64 per
-		// multi-candidate decision keeps the stream aligned across runs.
-		u := r.rng.Float64() * total
-		for k, w := range wts {
-			if u < w || k == len(up)-1 {
-				choice = up[k]
-				break
-			}
-			u -= w
-		}
-	}
-	node := hosts[choice]
-	r.live[node]++
-	if r.diskLive != nil {
-		r.diskLive[node][r.pickDiskLocked(node)]++
-	}
-	key := movie + "\x00" + r.ids[node]
-	r.liveBy[key]++
-	r.stats.Routed++
-	d := LoadDecision{
-		Node:     r.ids[node],
-		Failover: r.down[hosts[0]],
-		AllocN:   r.cap[movie][choice],
-		Live:     r.liveBy[key],
-	}
-	if d.Failover {
-		r.stats.Failovers++
-	}
-	return d, nil
-}
-
-// Release balances one RouteLoad: the viewer routed to the movie's
-// replica on the node has departed. On a gray-armed router the stream
-// is drained from the node's most-loaded disk; callers that know the
-// serving disk (the churn DES) use ReleaseDisk instead.
-func (r *Router) Release(movie, node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	i, ok := r.node[node]
-	if ok && r.diskLive != nil {
-		r.releaseDiskLocked(i, r.fullestDiskLocked(i))
-	}
-	r.releaseLocked(movie, node)
-}
-
 // ReleaseDisk balances one RouteGray: the viewer served from the given
-// disk of the node has departed.
+// disk of the node has departed. An unarmed router keeps no per-disk
+// books, so its callers pass disk 0.
 func (r *Router) ReleaseDisk(movie, node string, disk int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -478,18 +434,6 @@ func (r *Router) releaseDiskLocked(i, disk int) {
 	if r.diskLive[i][disk] > 0 {
 		r.diskLive[i][disk]--
 	}
-}
-
-// fullestDiskLocked is the node's most-loaded disk (lowest index wins
-// ties) — where a disk-blind Release drains from.
-func (r *Router) fullestDiskLocked(i int) int {
-	best, bestLive := 0, -1
-	for d, l := range r.diskLive[i] {
-		if l > bestLive {
-			best, bestLive = d, l
-		}
-	}
-	return best
 }
 
 // digest folds the router's mutable state into h (a 64-bit FNV-1a

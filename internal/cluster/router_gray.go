@@ -607,11 +607,18 @@ type GrayDecision struct {
 	Hedged, HedgeWin bool
 }
 
-// RouteGray is the gray-aware routing path: RouteLoad semantics plus
-// health-weighted selection, probation probes, and (under PolicyHedge)
-// hedged dispatch. waitFn draws the physical service wait of landing
-// one request on node index i with liveAfter in-flight streams; it is
-// called once, or twice when a hedge is issued.
+// RouteGray is the capacity-aware routing path of the churn simulator:
+// pickLocked's candidates and draw, plus probation probes and (under
+// PolicyHedge) hedged dispatch. It respects node stream capacities and
+// tracks per-replica live load; typed failures are ErrUnavailable (every
+// host down) and ErrSaturated (some host up but all at capacity). Call
+// ReleaseDisk when the viewer departs.
+//
+// waitFn draws the physical service wait of landing one request on node
+// index i with liveAfter in-flight streams; it is called once, or twice
+// when a hedge is issued. A nil waitFn measures nothing: no wait is
+// drawn, no tracker is fed and no hedge is issued, which is how runs
+// without gray faults route.
 //
 // Hedging models real first-wins dispatch: the primary is issued at
 // t=0; if its wait exceeds the deadline D — exactly the condition "no
@@ -655,71 +662,28 @@ func (r *Router) RouteGray(movie string, now float64, waitFn func(node, disk, li
 				continue
 			}
 			d, disk, diskProbe := r.commitLocked(movie, k)
-			wait := waitFn(n, disk, r.diskLiveLocked(n, disk))
 			r.gray.Probes++
-			r.observeLocked(n, wait, now, true)
-			r.observeDiskLocked(n, disk, wait, now, diskProbe)
-			r.recordWaitLocked(wait)
-			return GrayDecision{LoadDecision: d, Wait: wait, Disk: disk, Probe: true}, nil
+			out := GrayDecision{LoadDecision: d, Disk: disk, Probe: true}
+			if waitFn == nil {
+				return out, nil
+			}
+			out.Wait = waitFn(n, disk, r.diskLiveLocked(n, disk))
+			r.observeLocked(n, out.Wait, now, true)
+			r.observeDiskLocked(n, disk, out.Wait, now, diskProbe)
+			r.recordWaitLocked(out.Wait)
+			return out, nil
 		}
 	}
 
-	var (
-		up, upP     []int // indexes into hosts
-		wts, wtsP   []float64
-		total, totP float64
-		alive       bool
-	)
-	for k, n := range hosts {
-		if r.down[n] || r.health[n].state == Quarantined {
-			continue
-		}
-		alive = true
-		if r.nodeFullLocked(n) {
-			continue
-		}
-		w := float64(r.cap[movie][k]) / float64(1+r.live[n])
-		if r.policy != PolicyBlind {
-			s := r.scoreLocked(n)
-			w *= s * s
-		}
-		if r.health[n].state == Probation {
-			// Probation hosts normally take probes only, but they do
-			// serve as a fallback when nothing healthier is routable.
-			upP = append(upP, k)
-			wtsP = append(wtsP, w)
-			totP += w
-			continue
-		}
-		up = append(up, k)
-		wts = append(wts, w)
-		total += w
-	}
-	if len(up) == 0 && len(upP) > 0 {
-		up, wts, total = upP, wtsP, totP
-	}
-	if len(up) == 0 {
-		r.stats.Sheds++
-		if alive {
-			return GrayDecision{}, fmt.Errorf("%w: %q", ErrSaturated, movie)
-		}
-		return GrayDecision{}, fmt.Errorf("%w: %q", ErrUnavailable, movie)
-	}
-	choice := up[0]
-	if len(up) > 1 {
-		// Same single-draw discipline as Route/RouteLoad: one Float64
-		// per multi-candidate decision keeps the stream aligned.
-		u := r.rng.Float64() * total
-		for k, w := range wts {
-			if u < w || k == len(up)-1 {
-				choice = up[k]
-				break
-			}
-			u -= w
-		}
+	choice, up, wts, err := r.pickLocked(movie, hosts, true)
+	if err != nil {
+		return GrayDecision{}, err
 	}
 
 	d, disk1, diskProbe1 := r.commitLocked(movie, choice)
+	if waitFn == nil {
+		return GrayDecision{LoadDecision: d, Disk: disk1, Probe: diskProbe1}, nil
+	}
 	primary := hosts[choice]
 	wait1 := waitFn(primary, disk1, r.diskLiveLocked(primary, disk1))
 	out := GrayDecision{LoadDecision: d, Wait: wait1, Disk: disk1, Probe: diskProbe1}

@@ -56,7 +56,7 @@ func driveGray(t *testing.T, r *Router, movie string, n int, now float64, slow m
 		if err != nil {
 			t.Fatalf("RouteGray %d: %v", i, err)
 		}
-		r.Release(movie, gd.Node)
+		r.ReleaseDisk(movie, gd.Node, gd.Disk)
 	}
 }
 
@@ -90,7 +90,7 @@ func TestRouterQuarantineLifecycle(t *testing.T) {
 		if gd.Node == slowNode {
 			t.Fatalf("request %d routed to quarantined node %s", i, slowNode)
 		}
-		r.Release("hot", gd.Node)
+		r.ReleaseDisk("hot", gd.Node, gd.Disk)
 	}
 
 	// Past the dwell it goes on probation; now healthy again, the probes
@@ -158,7 +158,7 @@ func TestRouterHedgeFirstWins(t *testing.T) {
 		if gd.HedgeWin {
 			wins++
 		}
-		r.Release("hot", gd.Node)
+		r.ReleaseDisk("hot", gd.Node, gd.Disk)
 	}
 	if hedged == 0 {
 		t.Fatal("no request hedged despite a 100x-slow replica")
@@ -199,7 +199,7 @@ func TestRouterQuarantineGuard(t *testing.T) {
 }
 
 // TestRouterQuarantineExcludedUnderMutation is the satellite property
-// test: Route and RouteLoad never select a quarantined replica, even
+// test: Route and RouteGray never select a quarantined replica, even
 // while other goroutines add and remove replicas concurrently (run
 // with -race). The quarantined node is pinned via the operator
 // override so the property is exact, not probabilistic.
@@ -270,9 +270,9 @@ func TestRouterQuarantineExcludedUnderMutation(t *testing.T) {
 					routed[g] = append(routed[g], d.Node)
 					r.Done(d.Node)
 				}
-				if d, err := r.RouteLoad("hot"); err == nil {
+				if d, err := r.RouteGray("hot", 0, nil); err == nil {
 					routed[g] = append(routed[g], d.Node)
-					r.Release("hot", d.Node)
+					r.ReleaseDisk("hot", d.Node, d.Disk)
 				}
 			}
 		}()
@@ -326,7 +326,7 @@ func TestRouterGrayDeterminism(t *testing.T) {
 				t.Fatalf("RouteGray %d: %v", i, err)
 			}
 			nodes = append(nodes, fmt.Sprintf("%s:%t:%t:%g", gd.Node, gd.Probe, gd.Hedged, gd.Wait))
-			r.Release("hot", gd.Node)
+			r.ReleaseDisk("hot", gd.Node, gd.Disk)
 		}
 		return r, nodes
 	}

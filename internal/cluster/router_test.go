@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
+	"testing/quick"
 )
 
 func testPlacement(t *testing.T) Placement {
@@ -184,7 +186,7 @@ func TestRouterSpreadsLoadAcrossReplicas(t *testing.T) {
 
 // TestRouterRebalanceDeterministic extends the determinism property
 // across live rebalances: two same-seed routers driven through an
-// identical interleaving of RouteLoad, Release, AddReplica,
+// identical interleaving of RouteGray, ReleaseDisk, AddReplica,
 // RemoveReplica and SetNodeDown make identical decisions throughout.
 func TestRouterRebalanceDeterministic(t *testing.T) {
 	p := testPlacement(t)
@@ -237,8 +239,8 @@ func TestRouterRebalanceDeterministic(t *testing.T) {
 			}
 		}
 		m := movies[i%len(movies)]
-		d1, err1 := r1.RouteLoad(m)
-		d2, err2 := r2.RouteLoad(m)
+		d1, err1 := r1.RouteGray(m, 0, nil)
+		d2, err2 := r2.RouteGray(m, 0, nil)
 		if (err1 == nil) != (err2 == nil) || d1 != d2 {
 			t.Fatalf("call %d: %+v/%v vs %+v/%v", i, d1, err1, d2, err2)
 		}
@@ -247,8 +249,8 @@ func TestRouterRebalanceDeterministic(t *testing.T) {
 			live2 = append(live2, struct{ movie, node string }{m, d2.Node})
 		}
 		if i%3 == 2 && len(live1) > 0 {
-			r1.Release(live1[0].movie, live1[0].node)
-			r2.Release(live2[0].movie, live2[0].node)
+			r1.ReleaseDisk(live1[0].movie, live1[0].node, 0)
+			r2.ReleaseDisk(live2[0].movie, live2[0].node, 0)
 			live1, live2 = live1[1:], live2[1:]
 		}
 	}
@@ -257,7 +259,7 @@ func TestRouterRebalanceDeterministic(t *testing.T) {
 	}
 }
 
-// TestRouterRebalanceConcurrent hammers RouteLoad/Release while another
+// TestRouterRebalanceConcurrent hammers RouteGray/ReleaseDisk while another
 // goroutine adds and removes replicas and flips node state — the -race
 // certification that rebalances are atomic against traffic.
 func TestRouterRebalanceConcurrent(t *testing.T) {
@@ -288,12 +290,12 @@ func TestRouterRebalanceConcurrent(t *testing.T) {
 				movie = "cold"
 			}
 			for i := 0; i < per; i++ {
-				d, err := r.RouteLoad(movie)
+				d, err := r.RouteGray(movie, 0, nil)
 				if err != nil {
 					continue // saturation is legal mid-rebalance
 				}
 				if i%2 == 0 {
-					r.Release(movie, d.Node)
+					r.ReleaseDisk(movie, d.Node, d.Disk)
 				}
 			}
 		}(g)
@@ -331,20 +333,20 @@ func TestRouterLoadTypedErrors(t *testing.T) {
 		t.Fatalf("NewRouter: %v", err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := r.RouteLoad("only"); err != nil {
-			t.Fatalf("RouteLoad %d under capacity: %v", i, err)
+		if _, err := r.RouteGray("only", 0, nil); err != nil {
+			t.Fatalf("RouteGray %d under capacity: %v", i, err)
 		}
 	}
-	if _, err := r.RouteLoad("only"); !errors.Is(err, ErrSaturated) {
+	if _, err := r.RouteGray("only", 0, nil); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("at capacity: err = %v, want ErrSaturated", err)
 	}
 	r.SetNodeDown("node0", true)
-	if _, err := r.RouteLoad("only"); !errors.Is(err, ErrUnavailable) {
+	if _, err := r.RouteGray("only", 0, nil); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("node down: err = %v, want ErrUnavailable", err)
 	}
 	r.SetNodeDown("node0", false)
-	r.Release("only", "node0")
-	if d, err := r.RouteLoad("only"); err != nil || d.Node != "node0" {
+	r.ReleaseDisk("only", "node0", 0)
+	if d, err := r.RouteGray("only", 0, nil); err != nil || d.Node != "node0" {
 		t.Fatalf("after release: %+v, %v", d, err)
 	}
 }
@@ -371,5 +373,216 @@ func TestRouterReplicaGuards(t *testing.T) {
 	}
 	if err := r.RemoveReplica("cold", "node9"); err == nil {
 		t.Error("RemoveReplica on unknown node accepted")
+	}
+}
+
+// routeLoadOracle is the churn simulator's former non-gray routing call,
+// kept verbatim as the reference the nil-waitFn RouteGray path is
+// checked against: capacity-aware candidates weighted by placed
+// capacity over live load, one Float64 per multi-candidate decision.
+func routeLoadOracle(r *Router, movie string) (LoadDecision, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	hosts, ok := r.host[movie]
+	if !ok {
+		return LoadDecision{}, fmt.Errorf("%w: %q", ErrUnknownMovie, movie)
+	}
+	var (
+		up    []int // indexes into hosts
+		wts   []float64
+		total float64
+		alive bool
+	)
+	for k, n := range hosts {
+		if r.down[n] || r.health[n].state == Quarantined {
+			continue
+		}
+		alive = true
+		if r.maxStreams[n] > 0 && r.live[n] >= r.maxStreams[n] {
+			continue
+		}
+		w := float64(r.cap[movie][k]) / float64(1+r.live[n])
+		up = append(up, k)
+		wts = append(wts, w)
+		total += w
+	}
+	if len(up) == 0 {
+		r.stats.Sheds++
+		if alive {
+			return LoadDecision{}, fmt.Errorf("%w: %q", ErrSaturated, movie)
+		}
+		return LoadDecision{}, fmt.Errorf("%w: %q", ErrUnavailable, movie)
+	}
+	choice := up[0]
+	if len(up) > 1 {
+		u := r.rng.Float64() * total
+		for k, w := range wts {
+			if u < w || k == len(up)-1 {
+				choice = up[k]
+				break
+			}
+			u -= w
+		}
+	}
+	node := hosts[choice]
+	r.live[node]++
+	key := movie + "\x00" + r.ids[node]
+	r.liveBy[key]++
+	r.stats.Routed++
+	d := LoadDecision{
+		Node:     r.ids[node],
+		Failover: r.down[hosts[0]],
+		AllocN:   r.cap[movie][choice],
+		Live:     r.liveBy[key],
+	}
+	if d.Failover {
+		r.stats.Failovers++
+	}
+	return d, nil
+}
+
+// releaseOracle is the former disk-blind release on an unarmed router,
+// which keeps no per-disk books.
+func releaseOracle(r *Router, movie, node string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.releaseLocked(movie, node)
+}
+
+// TestRouteGrayNilWaitMatchesOracle is the equivalence property of the
+// single routing path: on an unarmed router, RouteGray with a nil waitFn
+// and ReleaseDisk on disk 0 make the same decisions, return the same
+// typed errors and leave the same digest as routeLoadOracle and
+// releaseOracle, through random mixes of routing, releases, replica
+// moves, node outages and quarantine overrides.
+func TestRouteGrayNilWaitMatchesOracle(t *testing.T) {
+	allocs := []MovieAlloc{
+		{Movie: "hot", N: 4, B: 2, Weight: 0.5},
+		{Movie: "mid", N: 3, B: 2, Weight: 0.3},
+		{Movie: "cold", N: 2, B: 1, Weight: 0.2},
+	}
+	p, err := PackAllocs(allocs, UniformNodes(4, 8, 40), Options{Replicas: 2})
+	if err != nil {
+		t.Fatalf("PackAllocs: %v", err)
+	}
+	movies := []string{"hot", "mid", "cold", "nope"}
+	nodes := []string{"node0", "node1", "node2", "node3"}
+	sameErr := func(e1, e2 error) bool {
+		if (e1 == nil) != (e2 == nil) {
+			return false
+		}
+		if e1 == nil {
+			return true
+		}
+		for _, typed := range []error{ErrUnknownMovie, ErrUnavailable, ErrSaturated, ErrBadCluster} {
+			if errors.Is(e1, typed) != errors.Is(e2, typed) {
+				return false
+			}
+		}
+		return e1.Error() == e2.Error()
+	}
+	prop := func(seed int64, ops [256]uint16) bool {
+		want, err := NewRouter(p, seed)
+		if err != nil {
+			t.Fatalf("NewRouter: %v", err)
+		}
+		got, err := NewRouter(p, seed)
+		if err != nil {
+			t.Fatalf("NewRouter: %v", err)
+		}
+		type viewer struct{ movie, node string }
+		var live []viewer
+		for i, op := range ops {
+			arg := int(op >> 3)
+			movie, node := movies[arg%len(movies)], nodes[(arg/len(movies))%len(nodes)]
+			var e1, e2 error
+			switch op % 8 {
+			case 0, 1, 2:
+				d1, err1 := routeLoadOracle(want, movie)
+				d2, err2 := got.RouteGray(movie, float64(i), nil)
+				if d2.LoadDecision != d1 || d2.Wait != 0 || d2.Disk != 0 || d2.Probe || d2.Hedged {
+					t.Logf("op %d route %s: oracle %+v, RouteGray %+v", i, movie, d1, d2)
+					return false
+				}
+				if err1 == nil {
+					live = append(live, viewer{movie, d1.Node})
+				}
+				e1, e2 = err1, err2
+			case 3:
+				if len(live) == 0 {
+					continue
+				}
+				k := arg % len(live)
+				releaseOracle(want, live[k].movie, live[k].node)
+				got.ReleaseDisk(live[k].movie, live[k].node, 0)
+				live = append(live[:k], live[k+1:]...)
+			case 4:
+				e1, e2 = want.AddReplica(movie, node, 1+arg%4), got.AddReplica(movie, node, 1+arg%4)
+			case 5:
+				e1, e2 = want.RemoveReplica(movie, node), got.RemoveReplica(movie, node)
+			case 6:
+				down := arg&1 == 1
+				e1, e2 = want.SetNodeDown(node, down), got.SetNodeDown(node, down)
+			case 7:
+				st := Healthy
+				if arg&1 == 1 {
+					st = Quarantined
+				}
+				e1, e2 = want.SetHealthState(node, st), got.SetHealthState(node, st)
+			}
+			if !sameErr(e1, e2) {
+				t.Logf("op %d (%d): oracle error %v, RouteGray path error %v", i, op%8, e1, e2)
+				return false
+			}
+			if grayDigestOf(want) != grayDigestOf(got) {
+				t.Logf("op %d (%d): digests diverged", i, op%8)
+				return false
+			}
+		}
+		return want.Stats() == got.Stats()
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestRouteProbationFallbackOnly pins how every routing path treats a
+// node forced to Probation on an unarmed (blind) router: it takes no
+// regular traffic while a healthier replica is routable, and serves as
+// the fallback when none is. Probes only run under a health-aware
+// policy, so on a blind router the fallback is its only traffic.
+func TestRouteProbationFallbackOnly(t *testing.T) {
+	p := testPlacement(t)
+	reps := p.Replicas("hot")
+	if len(reps) < 2 {
+		t.Fatalf("hot has %d replicas, want 2", len(reps))
+	}
+	primary, second := reps[0].Node, reps[1].Node
+	for _, path := range []string{"Route", "RouteGray"} {
+		r, err := NewRouter(p, 5)
+		if err != nil {
+			t.Fatalf("NewRouter: %v", err)
+		}
+		if err := r.SetHealthState(second, Probation); err != nil {
+			t.Fatalf("SetHealthState: %v", err)
+		}
+		route := func() (string, error) {
+			if path == "Route" {
+				d, err := r.Route("hot")
+				return d.Node, err
+			}
+			d, err := r.RouteGray("hot", 0, nil)
+			return d.Node, err
+		}
+		for i := 0; i < 10; i++ {
+			n, err := route()
+			if err != nil || n != primary {
+				t.Fatalf("%s %d: routed to %q (%v), want the healthy primary %q", path, i, n, err, primary)
+			}
+		}
+		r.SetNodeDown(primary, true)
+		if n, err := route(); err != nil || n != second {
+			t.Fatalf("%s with the primary down: routed to %q (%v), want the probation fallback %q", path, n, err, second)
+		}
 	}
 }

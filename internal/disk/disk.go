@@ -97,15 +97,6 @@ type Array struct {
 	allocs, failures, transients uint64
 }
 
-// NewArray builds an array of numDisks disks, each sustaining perDisk
-// concurrent streams.
-func NewArray(numDisks, perDisk int) (*Array, error) {
-	if numDisks < 1 || perDisk < 1 {
-		return nil, fmt.Errorf("%w: numDisks=%d perDisk=%d must be positive", ErrBadParam, numDisks, perDisk)
-	}
-	return &Array{perDisk: perDisk, load: make([]int, numDisks), failed: make([]bool, numDisks)}, nil
-}
-
 // NewElastic builds an array that adds disks (of perDisk slots each) as
 // demand requires, never failing allocation. Peak() reports the
 // high-water stream count, the quantity sizing experiments measure.

@@ -2,6 +2,7 @@ package disk
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -421,4 +422,13 @@ func TestElasticFailAndGrow(t *testing.T) {
 	if err := a.CheckInvariant(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// NewArray builds a fixed array of numDisks disks, each sustaining
+// perDisk concurrent streams: the fixture the Array tests run on.
+func NewArray(numDisks, perDisk int) (*Array, error) {
+	if numDisks < 1 || perDisk < 1 {
+		return nil, fmt.Errorf("%w: numDisks=%d perDisk=%d must be positive", ErrBadParam, numDisks, perDisk)
+	}
+	return &Array{perDisk: perDisk, load: make([]int, numDisks), failed: make([]bool, numDisks)}, nil
 }

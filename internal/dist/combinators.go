@@ -30,15 +30,6 @@ func NewTruncated(base Distribution, lo, hi float64) (*Truncated, error) {
 	return &Truncated{base: base, lo: lo, hi: hi, mass: mass, cdfLo: cdfLo}, nil
 }
 
-// MustTruncated is NewTruncated that panics on invalid parameters.
-func MustTruncated(base Distribution, lo, hi float64) *Truncated {
-	d, err := NewTruncated(base, lo, hi)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 func (d *Truncated) PDF(x float64) float64 {
 	if x < d.lo || x > d.hi {
 		return 0
@@ -165,103 +156,6 @@ func (d *Folded) Sample(rng *rand.Rand) float64 {
 
 func (d *Folded) Support() (float64, float64) { return 0, d.period }
 
-// Component pairs a distribution with a mixture weight.
-type Component struct {
-	Weight float64
-	Dist   Distribution
-}
-
-// Mixture is a finite mixture of component distributions; weights are
-// normalized at construction. It models heterogeneous VCR populations
-// (e.g. "channel surfers" with short pauses mixed with "snack breaks").
-type Mixture struct {
-	comps []Component
-	cum   []float64
-}
-
-// NewMixture builds a mixture from the given components. At least one
-// component with positive weight is required.
-func NewMixture(comps ...Component) (*Mixture, error) {
-	var total float64
-	for _, c := range comps {
-		if c.Weight < 0 || math.IsNaN(c.Weight) || math.IsInf(c.Weight, 0) {
-			return nil, badParam("mixture weight %v must be finite and nonnegative", c.Weight)
-		}
-		if c.Dist == nil {
-			return nil, badParam("mixture component distribution must be non-nil")
-		}
-		total += c.Weight
-	}
-	if !(total > 0) {
-		return nil, badParam("mixture needs positive total weight")
-	}
-	m := &Mixture{comps: make([]Component, 0, len(comps)), cum: make([]float64, 0, len(comps))}
-	var acc float64
-	for _, c := range comps {
-		if c.Weight == 0 {
-			continue
-		}
-		w := c.Weight / total
-		acc += w
-		m.comps = append(m.comps, Component{Weight: w, Dist: c.Dist})
-		m.cum = append(m.cum, acc)
-	}
-	m.cum[len(m.cum)-1] = 1 // absorb rounding
-	return m, nil
-}
-
-// MustMixture is NewMixture that panics on invalid parameters.
-func MustMixture(comps ...Component) *Mixture {
-	m, err := NewMixture(comps...)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-func (m *Mixture) PDF(x float64) float64 {
-	var sum float64
-	for _, c := range m.comps {
-		sum += c.Weight * c.Dist.PDF(x)
-	}
-	return sum
-}
-
-func (m *Mixture) CDF(x float64) float64 {
-	var sum float64
-	for _, c := range m.comps {
-		sum += c.Weight * c.Dist.CDF(x)
-	}
-	return math.Min(1, math.Max(0, sum))
-}
-
-func (m *Mixture) Mean() float64 {
-	var sum float64
-	for _, c := range m.comps {
-		sum += c.Weight * c.Dist.Mean()
-	}
-	return sum
-}
-
-func (m *Mixture) Sample(rng *rand.Rand) float64 {
-	u := rng.Float64()
-	i := sort.SearchFloat64s(m.cum, u)
-	if i >= len(m.comps) {
-		i = len(m.comps) - 1
-	}
-	return m.comps[i].Dist.Sample(rng)
-}
-
-func (m *Mixture) Support() (float64, float64) {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, c := range m.comps {
-		clo, chi := c.Dist.Support()
-		lo = math.Min(lo, clo)
-		hi = math.Max(hi, chi)
-	}
-	return lo, hi
-}
-
 // Empirical is a continuous distribution fit to observed durations by
 // linear interpolation of the empirical CDF between order statistics.
 // The paper notes (§2.1) that "the pdf of VCR requests can be obtained by
@@ -288,15 +182,6 @@ func NewEmpirical(samples []float64) (*Empirical, error) {
 		return nil, badParam("empirical samples must not all be identical")
 	}
 	return &Empirical{xs: xs}, nil
-}
-
-// MustEmpirical is NewEmpirical that panics on invalid parameters.
-func MustEmpirical(samples []float64) *Empirical {
-	d, err := NewEmpirical(samples)
-	if err != nil {
-		panic(err)
-	}
-	return d
 }
 
 func (d *Empirical) CDF(x float64) float64 {

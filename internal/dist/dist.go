@@ -7,8 +7,8 @@
 // operation, defined on [0, l] where l is the movie length. This package
 // supplies the concrete families the paper evaluates — exponential and
 // skewed gamma — together with several others useful for sensitivity
-// studies, plus combinators (truncation, folding mod l, mixtures,
-// empirical fits) so measured user behaviour can be plugged in directly.
+// studies, plus combinators (truncation, folding mod l, empirical fits)
+// so measured user behaviour can be plugged in directly.
 package dist
 
 import (
@@ -89,26 +89,4 @@ func Quantile(d Distribution, p float64) float64 {
 		}
 	}
 	return 0.5 * (lo + hi)
-}
-
-// SampleInverse draws a variate by inverse-transform sampling; a generic
-// fallback for distributions without a specialized sampler.
-func SampleInverse(d Distribution, rng *rand.Rand) float64 {
-	return Quantile(d, rng.Float64())
-}
-
-// Prob returns P(a < X <= b) = CDF(b) − CDF(a), clamped to [0, 1] to guard
-// against rounding in the tails. It returns 0 when b <= a.
-func Prob(d Distribution, a, b float64) float64 {
-	if b <= a {
-		return 0
-	}
-	p := d.CDF(b) - d.CDF(a)
-	if p < 0 {
-		return 0
-	}
-	if p > 1 {
-		return 1
-	}
-	return p
 }

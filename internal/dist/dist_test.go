@@ -246,44 +246,6 @@ func TestFoldedRejectsNegativeSupport(t *testing.T) {
 	}
 }
 
-func TestMixtureBasics(t *testing.T) {
-	m := MustMixture(
-		Component{Weight: 1, Dist: MustUniform(0, 1)},
-		Component{Weight: 3, Dist: MustUniform(2, 4)},
-	)
-	approx(t, "mean", m.Mean(), 0.25*0.5+0.75*3, 1e-12)
-	approx(t, "cdf@1.5", m.CDF(1.5), 0.25, 1e-12)
-	approx(t, "cdf@4", m.CDF(4), 1, 1e-12)
-	lo, hi := m.Support()
-	if lo != 0 || hi != 4 {
-		t.Errorf("support [%g, %g] want [0, 4]", lo, hi)
-	}
-	rng := rand.New(rand.NewSource(8))
-	inFirst := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		if m.Sample(rng) <= 1 {
-			inFirst++
-		}
-	}
-	approx(t, "component frequency", float64(inFirst)/n, 0.25, 0.01)
-}
-
-func TestMixtureErrors(t *testing.T) {
-	if _, err := NewMixture(); !errors.Is(err, ErrBadParam) {
-		t.Error("empty mixture must fail")
-	}
-	if _, err := NewMixture(Component{Weight: -1, Dist: MustUniform(0, 1)}); !errors.Is(err, ErrBadParam) {
-		t.Error("negative weight must fail")
-	}
-	if _, err := NewMixture(Component{Weight: 1, Dist: nil}); !errors.Is(err, ErrBadParam) {
-		t.Error("nil dist must fail")
-	}
-	if _, err := NewMixture(Component{Weight: 0, Dist: MustUniform(0, 1)}); !errors.Is(err, ErrBadParam) {
-		t.Error("zero total weight must fail")
-	}
-}
-
 func TestEmpiricalRoundTrip(t *testing.T) {
 	// Fit an empirical distribution to gamma draws; it should reproduce the
 	// source's CDF within sampling error.
@@ -361,10 +323,6 @@ func TestPropertyCDFMonotone(t *testing.T) {
 		MustWeibull(1.5, 6),
 		MustTruncated(MustGamma(2, 4), 0, 120),
 		MustFolded(MustExponential(40), 120),
-		MustMixture(
-			Component{Weight: 1, Dist: MustExponential(2)},
-			Component{Weight: 2, Dist: MustGamma(3, 1)},
-		),
 		MustLognormal(1, 0.8),
 		MustPareto(2, 2.5),
 	}
@@ -457,27 +415,5 @@ func TestParseSpecFamilies(t *testing.T) {
 		if _, err := Parse(spec); !errors.Is(err, ErrBadParam) {
 			t.Errorf("%q: want ErrBadParam, got %v", spec, err)
 		}
-	}
-}
-
-func TestGammaFromMoments(t *testing.T) {
-	d, err := GammaFromMoments(8, 0.71)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, "mean", d.Mean(), 8, 1e-9)
-	approx(t, "cv", math.Sqrt(d.Variance())/d.Mean(), 0.71, 1e-9)
-	// The paper's Gamma(2, 4) corresponds to cv = 1/√2.
-	p, err := GammaFromMoments(8, 1/math.Sqrt2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, "paper shape", p.Shape(), 2, 1e-9)
-	approx(t, "paper scale", p.Scale(), 4, 1e-9)
-	if _, err := GammaFromMoments(0, 1); !errors.Is(err, ErrBadParam) {
-		t.Error("zero mean must fail")
-	}
-	if _, err := GammaFromMoments(8, 0); !errors.Is(err, ErrBadParam) {
-		t.Error("zero cv must fail")
 	}
 }

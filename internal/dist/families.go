@@ -279,15 +279,6 @@ func NewWeibull(shape, scale float64) (Weibull, error) {
 	return Weibull{k: shape, lambda: scale}, nil
 }
 
-// MustWeibull is NewWeibull that panics on invalid parameters.
-func MustWeibull(shape, scale float64) Weibull {
-	d, err := NewWeibull(shape, scale)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 func (d Weibull) PDF(x float64) float64 {
 	if x < 0 {
 		return 0
@@ -339,14 +330,3 @@ func (d Weibull) Sample(rng *rand.Rand) float64 {
 }
 
 func (d Weibull) Support() (float64, float64) { return 0, math.Inf(1) }
-
-// GammaFromMoments builds a gamma distribution with the given mean and
-// coefficient of variation cv = stddev/mean: shape = 1/cv², scale =
-// mean·cv². The natural constructor when matching measured VCR
-// durations (the paper's "obtained by statistics").
-func GammaFromMoments(mean, cv float64) (Gamma, error) {
-	if !(mean > 0) || !(cv > 0) {
-		return Gamma{}, badParam("gamma mean %v and cv %v must be positive", mean, cv)
-	}
-	return NewGamma(1/(cv*cv), mean*cv*cv)
-}

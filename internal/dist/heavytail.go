@@ -21,15 +21,6 @@ func NewLognormal(mu, sigma float64) (Lognormal, error) {
 	return Lognormal{mu: mu, sigma: sigma}, nil
 }
 
-// MustLognormal is NewLognormal that panics on invalid parameters.
-func MustLognormal(mu, sigma float64) Lognormal {
-	d, err := NewLognormal(mu, sigma)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // LognormalFromMoments builds a log-normal with the given mean and
 // coefficient of variation cv = stddev/mean — the natural way to match
 // measured VCR behaviour.

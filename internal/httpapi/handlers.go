@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"strings"
+	"time"
 
 	"vodalloc/internal/analytic"
 	"vodalloc/internal/dist"
@@ -34,27 +35,28 @@ const maxStreamsPerMovie = 1 << 20
 // load shedding; New composes the hardened stack around it. Sizing
 // endpoints get a fresh evaluator (per-mux memo cache, all CPUs).
 func NewMux() *http.ServeMux {
-	return newMux(maxBodyBytes, nil, nil, &sizing.Evaluator{}, nil)
+	return newMux(maxBodyBytes, 0, nil, nil, &sizing.Evaluator{}, nil)
 }
 
-// newMux builds the routing table with a body limit, an evaluator for
-// the sizing endpoints and, when gate/br are non-nil, a bulkhead and a
-// circuit breaker on the simulation endpoints. Concurrent plan/curve
-// requests share the evaluator's worker pool and memo cache, so load
-// fans out across at most the configured budget regardless of request
-// count.
-func newMux(maxBody int64, gate *resilience.Bulkhead, br *resilience.Breaker, eval *sizing.Evaluator, cc *ClusterCounters) *http.ServeMux {
+// newMux builds the routing table with a body limit, a per-request
+// timeout (none when non-positive), an evaluator for the sizing
+// endpoints and, when gate/br are non-nil, a bulkhead and a circuit
+// breaker on the simulation endpoints. Concurrent plan/curve requests
+// share the evaluator's worker pool and memo cache, so load fans out
+// across at most the configured budget regardless of request count.
+func newMux(maxBody int64, timeout time.Duration, gate *resilience.Bulkhead, br *resilience.Breaker, eval *sizing.Evaluator, cc *ClusterCounters) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/healthz", handleHealth)
-	mux.Handle("/v1/hit", jsonHandler(maxBody, handleHit))
-	mux.Handle("/v1/plan", jsonHandler(maxBody, func(ctx context.Context, req PlanRequest) (PlanResponse, error) {
+	handle := func(pattern string, h http.Handler) { mux.Handle(pattern, timed(timeout, h)) }
+	handle("/v1/healthz", http.HandlerFunc(handleHealth))
+	handle("/v1/hit", jsonHandler(maxBody, handleHit))
+	handle("/v1/plan", jsonHandler(maxBody, func(ctx context.Context, req PlanRequest) (PlanResponse, error) {
 		return handlePlan(ctx, eval, req)
 	}))
-	mux.Handle("/v1/curve", jsonHandler(maxBody, func(ctx context.Context, req CurveRequest) (CurveResponse, error) {
+	handle("/v1/curve", jsonHandler(maxBody, func(ctx context.Context, req CurveRequest) (CurveResponse, error) {
 		return handleCurve(ctx, eval, req)
 	}))
-	mux.Handle("/v1/reserve", jsonHandler(maxBody, handleReserve))
-	mux.Handle("/v1/cluster/plan", jsonHandler(maxBody, func(ctx context.Context, req ClusterPlanRequest) (ClusterPlanResponse, error) {
+	handle("/v1/reserve", jsonHandler(maxBody, handleReserve))
+	handle("/v1/cluster/plan", jsonHandler(maxBody, func(ctx context.Context, req ClusterPlanRequest) (ClusterPlanResponse, error) {
 		cc.notePlan()
 		return handleClusterPlan(ctx, eval, req)
 	}))
@@ -72,20 +74,21 @@ func newMux(maxBody int64, gate *resilience.Bulkhead, br *resilience.Breaker, ev
 		cc.noteChurn()
 		return handleClusterChurn(ctx, eval, cc, req)
 	})
-	// The breaker sits outside the bulkhead so an open circuit fast-fails
-	// without consuming an admission slot.
-	if gate != nil {
-		simulate = limitInflight(gate, simulate)
-		replicate = limitInflight(gate, replicate)
-		clusterSim = limitInflight(gate, clusterSim)
-		clusterChurn = limitInflight(gate, clusterChurn)
+	// The simulation endpoints share the bulkhead. The breaker sits
+	// outside it, so an open circuit fast-fails without consuming an
+	// admission slot, and owns their deadline: it settles a timeout
+	// before writing the 503, never after.
+	sim := func(h http.Handler) http.Handler {
+		if gate != nil {
+			h = limitInflight(gate, h)
+		}
+		if br == nil {
+			return timed(timeout, h)
+		}
+		return withDeadline(timeout, breakerGate(br, h))
 	}
-	if br != nil {
-		simulate = breakerGate(br, simulate)
-		replicate = breakerGate(br, replicate)
-		clusterSim = breakerGate(br, clusterSim)
-		clusterChurn = breakerGate(br, clusterChurn)
-	}
+	simulate, replicate = sim(simulate), sim(replicate)
+	clusterSim, clusterChurn = sim(clusterSim), sim(clusterChurn)
 	mux.Handle("/v1/simulate", simulate)
 	mux.Handle("/v1/replicate", replicate)
 	mux.Handle("/v1/cluster/simulate", clusterSim)
@@ -106,9 +109,10 @@ func handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // jsonHandler adapts a typed POST handler. fn receives the request
 // context; a fn error that reflects the context's own cancellation gets
-// no response body — on timeout http.TimeoutHandler already wrote the
-// 503, and on client cancellation nobody is listening — while every
-// other error is the caller's fault and maps to 400.
+// no response body — on timeout the route's deadline owner
+// (http.TimeoutHandler or breakerGate) writes the 503, and on client
+// cancellation nobody is listening — while every other error is the
+// caller's fault and maps to 400.
 func jsonHandler[Req any, Resp any](maxBody int64, fn func(ctx context.Context, req Req) (Resp, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {

@@ -1,8 +1,10 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"strconv"
@@ -100,10 +102,7 @@ func New(o Options) http.Handler {
 	br := resilience.NewBreaker(o.BreakerThreshold, o.BreakerCooldown)
 
 	cc := &ClusterCounters{}
-	var h http.Handler = newMux(o.MaxBodyBytes, gate, br, eval, cc)
-	// The timeout handler caps handler wall time and cancels r.Context;
-	// its body is written verbatim on expiry.
-	h = http.TimeoutHandler(h, o.Timeout, `{"error":"request timed out"}`)
+	var h http.Handler = newMux(o.MaxBodyBytes, o.Timeout, gate, br, eval, cc)
 	h = trackInflight(state, h)
 	h = Recover(h)
 	if o.Log != nil {
@@ -176,12 +175,46 @@ func limitInflight(gate *resilience.Bulkhead, next http.Handler) http.Handler {
 // overload shed or a drain.
 const breakerHeader = "X-Circuit"
 
+// timeoutBody is the reply to a request whose deadline expired.
+const timeoutBody = `{"error":"request timed out"}`
+
+// timed caps a route's wall time with http.TimeoutHandler, which cancels
+// r.Context and writes timeoutBody on expiry. A non-positive timeout
+// leaves the route unbounded.
+func timed(timeout time.Duration, h http.Handler) http.Handler {
+	if timeout <= 0 {
+		return h
+	}
+	return http.TimeoutHandler(h, timeout, timeoutBody)
+}
+
+// withDeadline gives the request context a deadline and nothing else;
+// the handler it wraps owns the reply when the deadline expires.
+func withDeadline(timeout time.Duration, h http.Handler) http.Handler {
+	if timeout <= 0 {
+		return h
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := context.WithTimeout(r.Context(), timeout)
+		defer cancel()
+		h.ServeHTTP(w, r.WithContext(ctx))
+	})
+}
+
 // breakerGate wraps the simulation endpoints in a circuit breaker:
 // repeated request timeouts trip it, after which calls fast-fail with
 // 503 + Retry-After instead of queueing doomed work behind a struggling
-// simulator. An outcome is recorded when the handler returns — failure
+// simulator. Each admitted call settles exactly one outcome — failure
 // iff the request's deadline expired — so the breaker measures the
 // slow-path symptom (timeouts), not client errors.
+//
+// The gate owns the reply, like http.TimeoutHandler: next writes into a
+// buffer that is copied out when it returns, and when the request
+// context ends first the gate writes the 503 itself. Either way the
+// outcome is settled before the first byte of the reply, so a client
+// that has seen a timeout and retries finds the circuit already open. A
+// panicking handler settles too, before its panic is re-raised here for
+// Recover.
 func breakerGate(br *resilience.Breaker, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !br.Allow() {
@@ -191,17 +224,92 @@ func breakerGate(br *resilience.Breaker, next http.Handler) http.Handler {
 				fmt.Errorf("simulation circuit open after repeated timeouts; retry after cooldown"))
 			return
 		}
-		defer func() {
-			// Recorded in a defer so a panicking handler still settles its
-			// half-open probe instead of wedging the breaker.
-			if r.Context().Err() == context.DeadlineExceeded {
+		ctx := r.Context()
+		settle := func() {
+			if ctx.Err() == context.DeadlineExceeded {
 				br.Failure()
 			} else {
 				br.Success()
 			}
+		}
+		buf := &replyBuffer{header: make(http.Header)}
+		done := make(chan any, 1)
+		// After a timeout next runs on until it notices its canceled
+		// context, as under http.TimeoutHandler; its writes then fail.
+		go func() {
+			defer func() { done <- recover() }()
+			next.ServeHTTP(buf, r)
 		}()
-		next.ServeHTTP(w, r)
+		select {
+		case p := <-done:
+			settle()
+			if p != nil {
+				panic(p)
+			}
+			buf.copyTo(w)
+		case <-ctx.Done():
+			buf.abandon()
+			settle()
+			// The same reply http.TimeoutHandler gives; a client that gave
+			// up gets no body, since nobody reads it.
+			w.WriteHeader(http.StatusServiceUnavailable)
+			if ctx.Err() == context.DeadlineExceeded {
+				_, _ = io.WriteString(w, timeoutBody)
+			}
+		}
 	})
+}
+
+// replyBuffer holds a gated handler's reply until breakerGate copies it
+// out; once abandoned (the deadline won) writes fail with
+// http.ErrHandlerTimeout.
+type replyBuffer struct {
+	mu        sync.Mutex
+	header    http.Header
+	code      int
+	body      bytes.Buffer
+	abandoned bool
+}
+
+func (b *replyBuffer) Header() http.Header { return b.header }
+
+func (b *replyBuffer) WriteHeader(code int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.code == 0 {
+		b.code = code
+	}
+}
+
+func (b *replyBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.abandoned {
+		return 0, http.ErrHandlerTimeout
+	}
+	if b.code == 0 {
+		b.code = http.StatusOK
+	}
+	return b.body.Write(p)
+}
+
+func (b *replyBuffer) abandon() {
+	b.mu.Lock()
+	b.abandoned = true
+	b.mu.Unlock()
+}
+
+// copyTo writes the buffered reply to w; the handler has returned.
+func (b *replyBuffer) copyTo(w http.ResponseWriter) {
+	dst := w.Header()
+	for k, vv := range b.header {
+		dst[k] = vv
+	}
+	if b.code == 0 {
+		b.code = http.StatusOK
+	}
+	w.WriteHeader(b.code)
+	_, _ = w.Write(b.body.Bytes())
 }
 
 // statusRecorder captures the status code for access logging.

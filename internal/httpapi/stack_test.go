@@ -45,7 +45,7 @@ func bigPlanBody(t *testing.T, movies int) []byte {
 func TestCanceledPlanFreesPool(t *testing.T) {
 	pool := parallel.NewPool(2)
 	eval := &sizing.Evaluator{Workers: 2, Pool: pool}
-	srv := httptest.NewServer(newMux(maxBodyBytes, nil, nil, eval, nil))
+	srv := httptest.NewServer(newMux(maxBodyBytes, 0, nil, nil, eval, nil))
 	defer srv.Close()
 
 	body := bigPlanBody(t, 100)
@@ -122,6 +122,32 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	}
 	if got := br.State(); got != resilience.Closed {
 		t.Fatalf("breaker %v after successful probe, want closed", got)
+	}
+}
+
+// TestBreakerGatePanicSettlesProbe pins that a half-open probe whose
+// handler panics is settled exactly once before Recover answers: the
+// breaker closes (no deadline expired) instead of wedging half-open with
+// the probe slot held forever.
+func TestBreakerGatePanicSettlesProbe(t *testing.T) {
+	now := time.Unix(0, 0)
+	br := resilience.NewBreaker(1, time.Minute)
+	br.Clock = func() time.Time { return now }
+	br.Failure() // open
+	now = now.Add(2 * time.Minute)
+	h := Recover(breakerGate(br, http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		panic("boom")
+	})))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/simulate", nil))
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("panicking probe returned %d want 500", rec.Code)
+	}
+	if got := br.State(); got != resilience.Closed {
+		t.Fatalf("breaker %v after the panicking probe, want closed", got)
+	}
+	if !br.Allow() {
+		t.Fatal("breaker refuses traffic after the probe settled")
 	}
 }
 

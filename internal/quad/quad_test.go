@@ -1,6 +1,7 @@
 package quad
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -10,8 +11,13 @@ func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol
 }
 
+// simpson is one panel of simpsonRule, the rule Adaptive refines.
+func simpson(f Func, a, b float64) float64 {
+	return simpsonRule(a, b, f(a), f(0.5*(a+b)), f(b))
+}
+
 func TestSimpsonPolynomialExactness(t *testing.T) {
-	// Simpson is exact for cubics.
+	// Simpson's rule is exact for cubics.
 	cases := []struct {
 		name string
 		f    Func
@@ -24,20 +30,10 @@ func TestSimpsonPolynomialExactness(t *testing.T) {
 		{"cubic", func(x float64) float64 { return x * x * x }, -1, 2, 3.75},
 	}
 	for _, c := range cases {
-		got := Simpson(c.f, c.a, c.b, 2)
+		got := simpson(c.f, c.a, c.b)
 		if !almostEqual(got, c.want, 1e-12) {
 			t.Errorf("%s: Simpson=%g want %g", c.name, got, c.want)
 		}
-	}
-}
-
-func TestSimpsonOddNRoundsUp(t *testing.T) {
-	f := func(x float64) float64 { return x * x }
-	if got := Simpson(f, 0, 3, 3); !almostEqual(got, 9, 1e-12) {
-		t.Errorf("odd n: got %g want 9", got)
-	}
-	if got := Simpson(f, 0, 3, 0); !almostEqual(got, 9, 1e-12) {
-		t.Errorf("n=0: got %g want 9", got)
 	}
 }
 
@@ -155,43 +151,7 @@ func TestGaussPanelsMatchesAdaptive(t *testing.T) {
 	}
 }
 
-func TestTensor2SeparableIntegrand(t *testing.T) {
-	// ∫0..1 ∫0..2 x·y² dy dx = (1/2)·(8/3) = 4/3.
-	g := func(x, y float64) float64 { return x * y * y }
-	got := Tensor2(g, 0, 1, 0, 2, 2, 2)
-	if !almostEqual(got, 4.0/3, 1e-10) {
-		t.Errorf("tensor: got %.12g want %.12g", got, 4.0/3)
-	}
-}
-
-func TestTensor2NonSeparable(t *testing.T) {
-	// ∫0..1 ∫0..1 exp(x+y) = (e-1)^2.
-	g := func(x, y float64) float64 { return math.Exp(x + y) }
-	got := Tensor2(g, 0, 1, 0, 1, 1, 1)
-	want := (math.E - 1) * (math.E - 1)
-	if !almostEqual(got, want, 1e-10) {
-		t.Errorf("tensor exp: got %.12g want %.12g", got, want)
-	}
-}
-
-func TestTrapezoidConvergence(t *testing.T) {
-	coarse := Trapezoid(math.Sin, 0, math.Pi, 16)
-	fine := Trapezoid(math.Sin, 0, math.Pi, 4096)
-	if math.Abs(fine-2) > 1e-6 {
-		t.Errorf("fine trapezoid: got %g want 2", fine)
-	}
-	if math.Abs(coarse-2) < math.Abs(fine-2) {
-		t.Error("refinement did not reduce error")
-	}
-	if got := Trapezoid(math.Sin, 1, 1, 8); got != 0 {
-		t.Errorf("degenerate: got %g", got)
-	}
-	if got := Trapezoid(func(x float64) float64 { return 1 }, 0, 1, 0); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("n=0 clamps to 1: got %g", got)
-	}
-}
-
-// Property: for random cubics, Simpson with any even n equals the exact
+// Property: for random cubics, Simpson's rule equals the exact
 // antiderivative difference.
 func TestPropertySimpsonExactForCubics(t *testing.T) {
 	prop := func(c0, c1, c2, c3 float64, aRaw, wRaw uint8) bool {
@@ -205,7 +165,7 @@ func TestPropertySimpsonExactForCubics(t *testing.T) {
 			return x * (c0 + x*(c1/2+x*(c2/3+x*c3/4)))
 		}
 		want := anti(b) - anti(a)
-		got := Simpson(f, a, b, 4)
+		got := simpson(f, a, b)
 		scale := math.Max(1, math.Abs(want))
 		return math.Abs(got-want) <= 1e-9*scale
 	}
@@ -302,7 +262,7 @@ func TestPropertyAutoPanelsMatchesFixed16(t *testing.T) {
 		f := func(x float64) float64 {
 			return math.Exp(-decay*x) * (1 + 0.5*math.Sin(freq*x+phase))
 		}
-		got := AutoPanels(f, 0, span, 1e-10, 32)
+		got := autoPanels(f, 0, span, 1e-10, 32)
 		want := GaussPanels(f, 0, span, 16)
 		return almostEqual(got, want, 1e-8*math.Max(1, math.Abs(want)))
 	}
@@ -318,13 +278,13 @@ func TestPropertyAutoPanelsMatchesFixed16(t *testing.T) {
 func TestAutoPanelsRefinesOnlyOnFailure(t *testing.T) {
 	count := 0
 	smooth := func(x float64) float64 { count++; return math.Exp(-x * x) }
-	AutoPanels(smooth, 0, 3, 1e-10, 32)
+	autoPanels(smooth, 0, 3, 1e-10, 32)
 	if count != (4+8)*20 {
 		t.Errorf("smooth integrand used %d evaluations, want %d (4+8 panels)", count, (4+8)*20)
 	}
 	count = 0
 	kinked := func(x float64) float64 { count++; return math.Abs(x - math.Sqrt2) }
-	AutoPanels(kinked, 0, 3, 1e-14, 32)
+	autoPanels(kinked, 0, 3, 1e-14, 32)
 	if count != (4+8+16+32)*20 {
 		t.Errorf("kinked integrand used %d evaluations, want %d (doubling to the cap)", count, (4+8+16+32)*20)
 	}
@@ -334,12 +294,71 @@ func TestAutoPanelsRefinesOnlyOnFailure(t *testing.T) {
 // interval is exactly zero, and a sub-8 cap is clamped so the rule
 // always has one refinement to compare against.
 func TestAutoPanelsDegenerateAndClamps(t *testing.T) {
-	if v := AutoPanels(math.Sin, 2, 2, 0, 32); v != 0 {
+	if v := autoPanels(math.Sin, 2, 2, 0, 32); v != 0 {
 		t.Errorf("empty interval: got %v, want 0", v)
 	}
-	got := AutoPanels(math.Cos, 0, 1, 0, 1)
+	got := autoPanels(math.Cos, 0, 1, 0, 1)
 	want := GaussPanels(math.Cos, 0, 1, 8)
 	if got != want {
 		t.Errorf("clamped cap: got %v, want the 8-panel value %v", got, want)
 	}
+}
+
+// autoPanels runs AutoPanelsCtx on a context that never fires.
+func autoPanels(f Func, a, b, tol float64, maxPanels int) float64 {
+	v, _ := AutoPanelsCtx(context.Background(), f, a, b, tol, maxPanels)
+	return v
+}
+
+// Gauss20 integrates f over [a, b] with a single panel of the 20-point
+// Gauss–Legendre table behind GaussPanels. Exact for polynomials up to
+// degree 39.
+func Gauss20(f Func, a, b float64) float64 {
+	if a == b {
+		return 0
+	}
+	c := 0.5 * (a + b)
+	h := 0.5 * (b - a)
+	var sum float64
+	for _, n := range gauss20 {
+		sum += n.w * (f(c+h*n.x) + f(c-h*n.x))
+	}
+	return sum * h
+}
+
+// Romberg integrates f over [a, b] with Romberg extrapolation of the
+// trapezoid rule to the given number of levels (rows of the tableau,
+// clamped to [2, 20]). An independent high-order method that
+// cross-checks Adaptive and the Gauss rules.
+func Romberg(f Func, a, b float64, levels int) float64 {
+	if a == b {
+		return 0
+	}
+	if levels < 2 {
+		levels = 2
+	}
+	if levels > 20 {
+		levels = 20
+	}
+	r := make([][]float64, levels)
+	h := b - a
+	r[0] = []float64{0.5 * h * (f(a) + f(b))}
+	for k := 1; k < levels; k++ {
+		h /= 2
+		// Trapezoid refinement: add the new midpoints.
+		var sum float64
+		pts := 1 << (k - 1)
+		for i := 0; i < pts; i++ {
+			sum += f(a + (2*float64(i)+1)*h)
+		}
+		r[k] = make([]float64, k+1)
+		r[k][0] = 0.5*r[k-1][0] + h*sum
+		// Richardson extrapolation across the row.
+		pow := 4.0
+		for j := 1; j <= k; j++ {
+			r[k][j] = (pow*r[k][j-1] - r[k-1][j-1]) / (pow - 1)
+			pow *= 4
+		}
+	}
+	return r[levels-1][levels-1]
 }

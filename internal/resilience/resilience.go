@@ -1,10 +1,9 @@
 // Package resilience collects the small, dependency-free primitives the
 // serving stack uses to stay predictable under overload and partial
 // failure: exponential backoff with jitter (shared by the simulator's
-// degraded-mode retries and any wall-clock retry loop), a wall-clock
-// deadline budget, a circuit breaker for fast-failing endpoints whose
-// backends keep timing out, and a bulkhead semaphore that isolates one
-// class of work from another.
+// degraded-mode retries and any wall-clock retry loop), a circuit
+// breaker for fast-failing endpoints whose backends keep timing out, and
+// a bulkhead semaphore that isolates one class of work from another.
 //
 // The types are deliberately unit-agnostic where they can be: Backoff
 // computes delays as plain float64s so the discrete-event simulator can

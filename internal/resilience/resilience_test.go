@@ -70,54 +70,6 @@ func TestSleepHonorsCancellation(t *testing.T) {
 	}
 }
 
-func TestBudgetLifecycle(t *testing.T) {
-	var zero Budget
-	if zero.Set() || zero.Expired() {
-		t.Fatal("zero budget must be unlimited")
-	}
-	if zero.Remaining() < time.Hour {
-		t.Fatal("unlimited budget must report a huge remaining time")
-	}
-	ctx, cancel := zero.Context(context.Background())
-	defer cancel()
-	if _, ok := ctx.Deadline(); ok {
-		t.Fatal("unlimited budget must not impose a deadline")
-	}
-
-	b := BudgetFor(time.Hour)
-	if !b.Set() || b.Expired() {
-		t.Fatal("fresh one-hour budget must be live")
-	}
-	if r := b.Remaining(); r <= 59*time.Minute || r > time.Hour {
-		t.Fatalf("remaining %v, want ≈1h", r)
-	}
-	sub := b.Sub(0.5)
-	if r := sub.Remaining(); r <= 29*time.Minute || r > 31*time.Minute {
-		t.Fatalf("Sub(0.5) remaining %v, want ≈30m", r)
-	}
-	res := b.Reserve(30 * time.Minute)
-	if r := res.Remaining(); r <= 29*time.Minute || r > 31*time.Minute {
-		t.Fatalf("Reserve(30m) remaining %v, want ≈30m", r)
-	}
-
-	expired := BudgetFor(-time.Second)
-	if !expired.Expired() || expired.Remaining() != 0 {
-		t.Fatal("negative budget must be expired with zero remaining")
-	}
-
-	dctx, dcancel := context.WithTimeout(context.Background(), time.Hour)
-	defer dcancel()
-	fromCtx := BudgetFromContext(dctx)
-	if !fromCtx.Set() {
-		t.Fatal("budget from deadline ctx must be set")
-	}
-	bctx, bcancel := fromCtx.Sub(1).Context(context.Background())
-	defer bcancel()
-	if _, ok := bctx.Deadline(); !ok {
-		t.Fatal("budget context must carry the deadline")
-	}
-}
-
 func TestBreakerTripAndRecover(t *testing.T) {
 	now := time.Unix(0, 0)
 	clock := func() time.Time { return now }

@@ -263,21 +263,6 @@ func (e *Evaluator) MaxFeasibleStreamsCtx(ctx context.Context, m workload.Movie,
 	return best, nil
 }
 
-// maxFeasibleLinear is the exhaustive fallback for non-monotone
-// frontiers: scan from nMax down and return the first feasible point.
-func (e *Evaluator) maxFeasibleLinear(m workload.Movie, eval func(int) (Point, error), nMax int) (Point, error) {
-	for n := nMax; n >= 1; n-- {
-		p, err := eval(n)
-		if err != nil {
-			return Point{}, err
-		}
-		if p.Feasible {
-			return p, nil
-		}
-	}
-	return Point{}, fmt.Errorf("%w: movie %q has no feasible stream count", ErrInfeasible, m.Name)
-}
-
 // MinBufferPlan computes the paper's §5 constrained optimization: the
 // minimum-total-buffer allocation meeting every movie's (w_i, P*_i)
 // targets, subject to Σn_i ≤ maxStreams and ΣB_i ≤ maxBuffer (pass 0 to

@@ -3,6 +3,7 @@ package sizing
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -76,4 +77,19 @@ func BenchmarkSizingFrontier(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// maxFeasibleLinear is the exhaustive oracle for the frontier walk:
+// scan from nMax down and return the first feasible point.
+func (e *Evaluator) maxFeasibleLinear(m workload.Movie, eval func(int) (Point, error), nMax int) (Point, error) {
+	for n := nMax; n >= 1; n-- {
+		p, err := eval(n)
+		if err != nil {
+			return Point{}, err
+		}
+		if p.Feasible {
+			return p, nil
+		}
+	}
+	return Point{}, fmt.Errorf("%w: movie %q has no feasible stream count", ErrInfeasible, m.Name)
 }

@@ -119,47 +119,3 @@ func EstimateDedicated(cfg analytic.Config, profile vcr.Profile, lambda float64)
 	est.Total = est.Phase1 + est.MissHold
 	return est, nil
 }
-
-// ErlangB returns the Erlang loss probability B(c, a): the long-run
-// fraction of requests rejected by a c-server loss system offered load a
-// (erlangs). The M/G/c/c loss system is insensitive to the holding-time
-// distribution, which makes it the right sizing tool for the dedicated
-// VCR pool: offered load is EstimateDedicated's Total and a "server" is
-// one reserved stream. Computed with the numerically stable recurrence
-// B(0)=1, B(k) = a·B(k−1) / (k + a·B(k−1)).
-func ErlangB(servers int, load float64) float64 {
-	if servers < 0 || math.IsNaN(load) || load < 0 {
-		return math.NaN()
-	}
-	if load == 0 {
-		if servers == 0 {
-			return 1
-		}
-		return 0
-	}
-	b := 1.0
-	for k := 1; k <= servers; k++ {
-		b = load * b / (float64(k) + load*b)
-	}
-	return b
-}
-
-// ReserveForBlocking returns the smallest reserved-stream count whose
-// Erlang-B blocking probability is at most target, given the estimate's
-// offered load. target must lie in (0, 1).
-func (e DedicatedEstimate) ReserveForBlocking(target float64) (int, error) {
-	if !(target > 0 && target < 1) {
-		return 0, fmt.Errorf("%w: blocking target %v", ErrBadParam, target)
-	}
-	if e.Total <= 0 {
-		return 0, nil
-	}
-	for c := 1; ; c++ {
-		if ErlangB(c, e.Total) <= target {
-			return c, nil
-		}
-		if c > 1<<20 {
-			return 0, fmt.Errorf("%w: load %v needs implausibly many servers", ErrBadParam, e.Total)
-		}
-	}
-}

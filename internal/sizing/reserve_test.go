@@ -167,36 +167,6 @@ func TestErlangBKnownValues(t *testing.T) {
 	}
 }
 
-func TestReserveForBlocking(t *testing.T) {
-	est := DedicatedEstimate{Total: 30}
-	c1, err := est.ReserveForBlocking(0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The returned size meets the target and is minimal.
-	if ErlangB(c1, 30) > 0.01 || ErlangB(c1-1, 30) <= 0.01 {
-		t.Errorf("c=%d not the minimal 1%% reservation for load 30", c1)
-	}
-	// Tighter targets need more servers.
-	c2, err := est.ReserveForBlocking(0.001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2 <= c1 {
-		t.Errorf("0.1%% target (%d) should exceed 1%% target (%d)", c2, c1)
-	}
-	if _, err := est.ReserveForBlocking(0); !errors.Is(err, ErrBadParam) {
-		t.Error("target 0 must fail")
-	}
-	if _, err := est.ReserveForBlocking(1); !errors.Is(err, ErrBadParam) {
-		t.Error("target 1 must fail")
-	}
-	zero := DedicatedEstimate{}
-	if c, err := zero.ReserveForBlocking(0.01); err != nil || c != 0 {
-		t.Errorf("zero load: %d, %v", c, err)
-	}
-}
-
 func TestErlangBValidatedBySimulatedBlocking(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long validation run")
@@ -263,4 +233,28 @@ func TestErlangBAgainstDirectFormula(t *testing.T) {
 			}
 		}
 	}
+}
+
+// ErlangB is the Erlang loss probability B(c, a), the reference the
+// simulator's dedicated-pool blocking is checked against: the long-run
+// fraction of requests rejected by a c-server loss system offered load
+// a (erlangs). The M/G/c/c loss system is insensitive to the
+// holding-time distribution; offered load is EstimateDedicated's Total
+// and a "server" is one reserved stream. Computed with the numerically
+// stable recurrence B(0)=1, B(k) = a·B(k−1) / (k + a·B(k−1)).
+func ErlangB(servers int, load float64) float64 {
+	if servers < 0 || math.IsNaN(load) || load < 0 {
+		return math.NaN()
+	}
+	if load == 0 {
+		if servers == 0 {
+			return 1
+		}
+		return 0
+	}
+	b := 1.0
+	for k := 1; k <= servers; k++ {
+		b = load * b / (float64(k) + load*b)
+	}
+	return b
 }

@@ -56,28 +56,10 @@ func (s *Stream) SetRate(now, rate float64) {
 // SetRate.
 func (s *Stream) Halt(now float64) { s.SetRate(now, 0) }
 
-// Halted reports whether the stream is frozen.
-func (s *Stream) Halted() bool { return s.rate == 0 }
-
 // Seek jumps to a new position at time now without changing the rate.
 func (s *Stream) Seek(now, pos float64) {
 	s.basePos = pos
 	s.baseTime = now
-}
-
-// TimeToReach returns the simulation time at which the stream reaches
-// pos at its current rate, with ok=false when it never will (wrong
-// direction or zero rate).
-func (s *Stream) TimeToReach(now, pos float64) (float64, bool) {
-	cur := s.Position(now)
-	if s.rate == 0 {
-		return 0, cur == pos
-	}
-	dt := (pos - cur) / s.rate
-	if dt < 0 {
-		return 0, false
-	}
-	return now + dt, true
 }
 
 // Schedule is the periodic batch restart schedule: the movie is started

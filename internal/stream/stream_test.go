@@ -28,32 +28,6 @@ func TestStreamPositionAndRateChanges(t *testing.T) {
 	}
 }
 
-func TestTimeToReach(t *testing.T) {
-	s := New(1, 0, 10, 2)
-	at, ok := s.TimeToReach(0, 30)
-	if !ok || at != 10 {
-		t.Errorf("reach: %g, %v", at, ok)
-	}
-	// Wrong direction.
-	if _, ok := s.TimeToReach(0, 5); ok {
-		t.Error("unreachable position reported reachable")
-	}
-	// Negative rate (rewind) reaches lower positions.
-	r := New(2, 0, 10, -2)
-	at, ok = r.TimeToReach(0, 4)
-	if !ok || at != 3 {
-		t.Errorf("rewind reach: %g, %v", at, ok)
-	}
-	// Zero rate only "reaches" the current position.
-	z := New(3, 0, 7, 0)
-	if _, ok := z.TimeToReach(0, 8); ok {
-		t.Error("paused stream cannot reach elsewhere")
-	}
-	if _, ok := z.TimeToReach(0, 7); !ok {
-		t.Error("paused stream is at its own position")
-	}
-}
-
 func TestScheduleNextRestart(t *testing.T) {
 	s, err := NewSchedule(4)
 	if err != nil {

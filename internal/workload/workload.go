@@ -25,23 +25,6 @@ type ArrivalProcess interface {
 	Rate() float64
 }
 
-// Poisson is the homogeneous Poisson process the paper assumes for
-// popular-movie request arrivals (§2.1).
-type Poisson struct {
-	lambda float64
-}
-
-// NewPoisson builds a Poisson process with rate lambda per minute.
-func NewPoisson(lambda float64) (Poisson, error) {
-	if !(lambda > 0) || math.IsInf(lambda, 0) {
-		return Poisson{}, fmt.Errorf("%w: rate %v", ErrBadParam, lambda)
-	}
-	return Poisson{lambda: lambda}, nil
-}
-
-func (p Poisson) NextGap(rng *rand.Rand) float64 { return rng.ExpFloat64() / p.lambda }
-func (p Poisson) Rate() float64                  { return p.lambda }
-
 // Renewal is a renewal arrival process with arbitrary gap distribution,
 // for sensitivity studies beyond the Poisson assumption.
 type Renewal struct {

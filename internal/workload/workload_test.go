@@ -12,32 +12,6 @@ import (
 	"vodalloc/internal/dist"
 )
 
-func TestPoissonProcess(t *testing.T) {
-	p, err := NewPoisson(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Rate() != 0.5 {
-		t.Errorf("rate %g want 0.5", p.Rate())
-	}
-	rng := rand.New(rand.NewSource(1))
-	var sum float64
-	const n = 100000
-	for i := 0; i < n; i++ {
-		g := p.NextGap(rng)
-		if g < 0 {
-			t.Fatal("negative gap")
-		}
-		sum += g
-	}
-	if math.Abs(sum/n-2) > 0.05 {
-		t.Errorf("mean gap %.3f want 2", sum/n)
-	}
-	if _, err := NewPoisson(0); !errors.Is(err, ErrBadParam) {
-		t.Error("zero rate must fail")
-	}
-}
-
 func TestRenewalProcess(t *testing.T) {
 	r, err := NewRenewal(dist.MustUniform(1, 3))
 	if err != nil {

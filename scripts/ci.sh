@@ -1,8 +1,9 @@
 #!/bin/sh
-# Tier-1 verification: vet, build, tests, a shuffled race pass, a
-# pinned-staticcheck stage (skipped gracefully offline), and a
-# benchmark smoke pass (one iteration each, so broken benchmarks fail CI
-# without paying for measurement). The race pass covers the parallel
+# Tier-1 verification: vet, build, an offline unused-API check
+# (scripts/unusedapi), tests, a shuffled race pass, a pinned-staticcheck
+# stage (skipped gracefully offline), and a benchmark smoke pass (one
+# iteration each, so broken benchmarks fail CI without paying for
+# measurement). The race pass covers the parallel
 # sweep engine (internal/parallel) and every fan-out built on it.
 # A crash-resume smoke SIGKILLs checkpointed runs mid-flight and
 # requires the resumed output to be byte-identical (scripts/killresume.sh),
@@ -24,6 +25,9 @@ set -eu
 cd "$(dirname "$0")/.."
 go vet ./...
 go build ./...
+# Offline unused-API check: fails on any exported func or type under
+# internal/ that nothing but its own package's tests references.
+go run ./scripts/unusedapi
 go test ./...
 # Shuffled race pass: -shuffle=on randomizes test order so ordering
 # dependencies between tests surface alongside data races.

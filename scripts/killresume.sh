@@ -2,16 +2,20 @@
 # Kill-resume verification harness: SIGKILL a checkpointed run at a
 # random point mid-flight, resume it from the surviving checkpoint
 # directory, and require the final output to be byte-identical to an
-# uninterrupted run. Three stages:
+# uninterrupted run. Seven stages, in run order:
 #
 #   single   one long vodsim simulation with periodic state checkpoints
 #   sweep    a vodsim replication sweep journaling completed items
-#   cluster  a vodcluster node-count sweep journaling per-node sim rows
-#   churn    a vodcluster churn run (live rebalancing controller) with
-#            replay checkpoints — the kill may land mid-rebalance
 #   fluid    a vodsim run on the fluid backend at λ=20000/min, so the
 #            checkpoints carry fluid per-movie state (cohort ledgers,
 #            particle census, residency EWMA) alongside the kernel
+#   cluster  a vodcluster node-count sweep journaling per-node sim rows
+#   churn    a vodcluster churn run (live rebalancing controller) with
+#            replay checkpoints — the kill may land mid-rebalance
+#   gray     a churn run under a slow disk and a brownout with the
+#            hedged router — the kill lands while quarantine state is live
+#   evacuate a gray churn run whose controller evacuates the quarantined
+#            node — the kill lands inside the quarantine-dwell-drain window
 #
 # A kill that lands before any progress was journaled (or after the run
 # finished) proves nothing, so each stage retries with a fresh random
