@@ -61,26 +61,6 @@ func BenchmarkAblationPiggyback(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationQuadrature sweeps the model's u-quadrature panels and
-// reports the absolute error against a 256-panel reference — the
-// accuracy/cost tradeoff of DefaultUPanels.
-func BenchmarkAblationQuadrature(b *testing.B) {
-	base := analytic.MustNew(analytic.Config{L: 120, B: 60, N: 30, RatePB: 1, RateFF: 3, RateRW: 3})
-	gam := dist.MustGamma(2, 4)
-	ref := base.WithUPanels(256).HitFF(gam)
-	for _, panels := range []int{2, 4, 8, 16, 64} {
-		b.Run(fmt.Sprintf("panels=%d", panels), func(b *testing.B) {
-			m := base.WithUPanels(panels)
-			var got float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				got = m.HitFF(gam)
-			}
-			b.ReportMetric(math.Abs(got-ref), "absErr")
-		})
-	}
-}
-
 // BenchmarkAblationGridG compares the closed-form G(x)=∫₀ˣF path with
 // the generic precomputed-grid fallback on the same distribution (the
 // concrete type hidden), reporting their disagreement.

@@ -1,6 +1,7 @@
 package analytic
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -233,25 +234,66 @@ func TestPaperEquationsMatchUnified(t *testing.T) {
 	}
 }
 
+// TestBreakdownSumsToTotal checks that a breakdown's Total is the
+// unclamped hit probability bit for bit, for closed-form and grid
+// families alike — including durations with no mass near zero, whose
+// first jump partitions are empty while later ones are not.
 func TestBreakdownSumsToTotal(t *testing.T) {
-	gam := dist.MustGamma(2, 4)
+	ln, err := dist.LognormalFromMoments(8, 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := MustNew(cfg(120, 60, 30))
-	for _, op := range []Op{FF, RW, PAU} {
-		bd := m.BreakdownOf(op, gam)
-		if math.Abs(bd.Total-m.Hit(op, gam)) > 1e-9 {
-			t.Errorf("%v: breakdown total %.9f != hit %.9f", op, bd.Total, m.Hit(op, gam))
-		}
-		if bd.Within < 0 || bd.End < 0 {
-			t.Errorf("%v: negative component %+v", op, bd)
-		}
-		for i, j := range bd.Jumps {
-			if j < 0 {
-				t.Errorf("%v: negative jump[%d] = %g", op, i, j)
+	for _, d := range []dist.Distribution{
+		dist.MustGamma(2, 4),
+		dist.MustDeterministic(8),
+		dist.MustUniform(6, 10),
+		ln,
+		dist.MustPareto(8*(2.2-1)/2.2, 2.2),
+	} {
+		for _, op := range []Op{FF, RW, PAU} {
+			bd := m.BreakdownOf(op, d)
+			want, err := m.opSum(context.Background(), op, d, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bd.Total != want {
+				t.Errorf("%T %v: breakdown total %.17g != unclamped hit %.17g", d, op, bd.Total, want)
+			}
+			if got := m.Hit(op, d); clampProb(bd.Total) != got {
+				t.Errorf("%T %v: clamped total %.17g != hit %.17g", d, op, clampProb(bd.Total), got)
+			}
+			if s := bd.Within + sum(bd.Jumps) + bd.End; math.Abs(s-bd.Total) > 1e-12 {
+				t.Errorf("%T %v: parts sum to %.12f, total %.12f", d, op, s, bd.Total)
+			}
+			if bd.Within < 0 || bd.End < 0 {
+				t.Errorf("%T %v: negative component %+v", d, op, bd)
+			}
+			for i, j := range bd.Jumps {
+				if j < -1e-15 {
+					t.Errorf("%T %v: negative jump[%d] = %g", d, op, i, j)
+				}
+			}
+			if op != FF && bd.End != 0 {
+				t.Errorf("%T %v: End should be 0, got %g", d, op, bd.End)
 			}
 		}
-		if op != FF && bd.End != 0 {
-			t.Errorf("%v: End should be 0, got %g", op, bd.End)
-		}
+	}
+}
+
+// TestDeterministicDurationExact pins the §4 configuration's
+// deterministic 8-minute FF and RW hit probabilities to their exact
+// values, 17/45 and 14/45. Their CDF is a step, so the partition terms
+// are piecewise quadratic in the offset and the closed form is exact
+// where quadrature over the offset converges only slowly.
+func TestDeterministicDurationExact(t *testing.T) {
+	m := MustNew(cfg(120, 60, 30))
+	d := dist.MustDeterministic(8)
+	if got := m.HitFF(d); math.Abs(got-17.0/45) > 1e-12 {
+		t.Errorf("HitFF = %.15f, want 17/45 = %.15f", got, 17.0/45)
+	}
+	if got := m.HitRW(d); math.Abs(got-14.0/45) > 1e-12 {
+		t.Errorf("HitRW = %.15f, want 14/45 = %.15f", got, 14.0/45)
 	}
 }
 
@@ -382,23 +424,23 @@ func TestClippedMassProperties(t *testing.T) {
 	f := newDurFn(dist.MustGamma(2, 4), 120)
 	l := 120.0
 	// Degenerate and out-of-range intervals contribute nothing.
-	if f.clippedMass(5, 5, l) != 0 || f.clippedMass(7, 3, l) != 0 || f.clippedMass(130, 150, l) != 0 {
+	if f.clippedMass(5, 5) != 0 || f.clippedMass(7, 3) != 0 || f.clippedMass(130, 150) != 0 {
 		t.Error("degenerate intervals must give 0")
 	}
 	// Unclipped limit: for b << l, clippedMass/l ≈ F(b) − F(a) scaled by
 	// the fraction of clip positions beyond b... exact identity:
-	// clippedMass(a,b,l) = ∫ₐᵇ(F−F(a)) + (l−b)(F(b)−F(a)).
+	// clippedMass(a,b) = ∫ₐᵇ(F−F(a)) + (l−b)(F(b)−F(a)).
 	a, b := 2.0, 6.0
 	direct := f.G(b) - f.G(a) - (b-a)*f.F(a) + (l-b)*(f.F(b)-f.F(a))
-	if math.Abs(f.clippedMass(a, b, l)-direct) > 1e-12 {
+	if math.Abs(f.clippedMass(a, b)-direct) > 1e-12 {
 		t.Error("clippedMass identity violated")
 	}
 	// Monotone in b.
-	if f.clippedMass(2, 6, l) > f.clippedMass(2, 8, l) {
+	if f.clippedMass(2, 6) > f.clippedMass(2, 8) {
 		t.Error("clippedMass must grow with b")
 	}
 	// Negative a is clamped.
-	if math.Abs(f.clippedMass(-3, 6, l)-f.clippedMass(0, 6, l)) > 1e-12 {
+	if math.Abs(f.clippedMass(-3, 6)-f.clippedMass(0, 6)) > 1e-12 {
 		t.Error("negative a must clamp to 0")
 	}
 }
@@ -535,23 +577,6 @@ func TestPropertyHitDecreasesAlongWaitCurve(t *testing.T) {
 	}
 }
 
-func TestWithUPanelsConvergence(t *testing.T) {
-	gam := dist.MustGamma(2, 4)
-	m := MustNew(cfg(120, 60, 30))
-	coarse := m.WithUPanels(2).HitFF(gam)
-	fine := m.WithUPanels(64).HitFF(gam)
-	def := m.HitFF(gam)
-	if math.Abs(def-fine) > 1e-7 {
-		t.Errorf("default panels not converged: %.10f vs %.10f", def, fine)
-	}
-	if math.Abs(coarse-fine) > 1e-3 {
-		t.Errorf("coarse quadrature unexpectedly far: %.10f vs %.10f", coarse, fine)
-	}
-	if m.WithUPanels(0).uPanels != DefaultUPanels {
-		t.Error("WithUPanels(0) should select the default")
-	}
-}
-
 func TestWaitStatistics(t *testing.T) {
 	c := cfg(120, 60, 30) // w = 2, period 4, window 2
 	if got := c.TypeOneFraction(); math.Abs(got-0.5) > 1e-12 {
@@ -586,4 +611,12 @@ func SingleOp(op Op, d dist.Distribution) Mix {
 	default:
 		return Mix{PPAU: 1, PAU: d}
 	}
+}
+
+func sum(xs []float64) float64 {
+	var s float64
+	for _, v := range xs {
+		s += v
+	}
+	return s
 }

@@ -10,165 +10,64 @@ import (
 // stack evaluates models under per-request wall-clock budgets; a
 // canceled request must stop integrating promptly instead of finishing
 // a doomed evaluation while holding a worker-pool token. Cancellation
-// is checked once per quadrature panel (via quad.GaussPanelsCtx), so
-// the latency bound is one panel of integrand evaluations — microseconds
-// on the paper's parameter ranges. The plain methods (HitFF, HitMix, …)
+// is checked once per partition of the scan and, on the quadrature
+// path, once per quadrature panel (via quad.AutoPanelsCtx), so the
+// latency bound is one partition's evaluation — microseconds on the
+// paper's parameter ranges. The plain methods (HitFF, HitMix, …)
 // delegate here with context.Background(), so both paths share one
 // implementation and produce bit-identical results.
 
 // HitFFCtx is HitFF with cancellation checkpoints; it returns ctx.Err()
 // partway when the context is done.
 func (m *Model) HitFFCtx(ctx context.Context, d dist.Distribution) (float64, error) {
-	f := m.durFnFor(d)
-	end := m.pEnd(f)
-	if m.cfg.B == 0 {
-		// Pure batching: partitions have zero width; only the
-		// ran-off-the-end release remains.
-		return end, ctx.Err()
-	}
-	s, err := m.clippedSumCtx(ctx, f, m.ffIntervals())
-	if err != nil {
-		return 0, err
-	}
-	// The sweep and end terms are each correct to quadrature accuracy,
-	// but their float sum can poke past 1 by ~1e-15 when both saturate
-	// (B = L with a short-tailed duration); clamp like HitMix does.
-	return clampProb(s + end), nil
+	return m.HitCtx(ctx, FF, d)
 }
 
 // HitRWCtx is HitRW with cancellation checkpoints.
 func (m *Model) HitRWCtx(ctx context.Context, d dist.Distribution) (float64, error) {
-	if m.cfg.B == 0 {
-		return 0, ctx.Err()
-	}
-	v, err := m.clippedSumCtx(ctx, m.durFnFor(d), m.rwIntervals())
+	return m.HitCtx(ctx, RW, d)
+}
+
+// HitPAUCtx is HitPAU with cancellation checkpoints.
+func (m *Model) HitPAUCtx(ctx context.Context, d dist.Distribution) (float64, error) {
+	return m.HitCtx(ctx, PAU, d)
+}
+
+// HitCtx is Hit with cancellation checkpoints. The partition terms and
+// P(end) are each exact up to rounding, but their float sum can poke
+// past 1 by ~1e-15 when both saturate (B = L with a short-tailed
+// duration), so the result is clamped to [0, 1].
+func (m *Model) HitCtx(ctx context.Context, op Op, d dist.Distribution) (float64, error) {
+	v, err := m.opSum(ctx, op, d, nil)
 	if err != nil {
 		return 0, err
 	}
 	return clampProb(v), nil
 }
 
-// HitPAUCtx is HitPAU with cancellation checkpoints.
-func (m *Model) HitPAUCtx(ctx context.Context, d dist.Distribution) (float64, error) {
-	if m.cfg.B == 0 {
-		return 0, ctx.Err()
-	}
-	f := m.durFnFor(d)
-	c := m.cfg
-	span := c.PartitionSize()
-	period := c.RestartInterval()
-	coverage := span / period // long-run fraction of time a position is buffered
-	integrand := func(u float64) float64 {
-		var sum float64
-		for i := 0; ; i++ {
-			a := float64(i)*period - u
-			b := a + span
-			if a < 0 {
-				a = 0
-			}
-			fa := f.F(a)
-			tail := 1 - fa
-			if tail < pauTailEps {
-				break
-			}
-			if i >= pauExactScan {
-				// Far out in the tail the CDF is nearly constant across
-				// one restart period, so the remaining hit mass is the
-				// long-run coverage fraction of the remaining tail. This
-				// bounds the scan for heavy-tailed pauses (e.g. Pareto)
-				// whose support stretches over millions of periods.
-				sum += tail * coverage
-				break
-			}
-			sum += f.massAt(a, b, fa)
-		}
-		return sum
-	}
-	v, err := m.uIntegralCtx(ctx, integrand, span)
-	if err != nil {
-		return 0, err
-	}
-	return clampProb(float64(c.N) / c.B * v), nil
-}
-
-// HitCtx is Hit with cancellation checkpoints.
-func (m *Model) HitCtx(ctx context.Context, op Op, d dist.Distribution) (float64, error) {
-	switch op {
-	case FF:
-		return m.HitFFCtx(ctx, d)
-	case RW:
-		return m.HitRWCtx(ctx, d)
-	default:
-		return m.HitPAUCtx(ctx, d)
-	}
-}
-
 // HitMixCtx is HitMix with cancellation checkpoints: the context is
-// consulted per quadrature panel inside each operation's integral, so a
-// canceled evaluation stops within one panel.
+// consulted per partition inside each operation's scan, so a canceled
+// evaluation stops within one partition.
 func (m *Model) HitMixCtx(ctx context.Context, x Mix) (float64, error) {
 	if err := x.Validate(); err != nil {
 		return 0, err
 	}
-	var p float64
+	var ff, rw, pau float64
+	var err error
 	if x.PFF > 0 {
-		v, err := m.HitFFCtx(ctx, x.FF)
-		if err != nil {
+		if ff, err = m.HitFFCtx(ctx, x.FF); err != nil {
 			return 0, err
 		}
-		p += x.PFF * v
 	}
 	if x.PRW > 0 {
-		v, err := m.HitRWCtx(ctx, x.RW)
-		if err != nil {
+		if rw, err = m.HitRWCtx(ctx, x.RW); err != nil {
 			return 0, err
 		}
-		p += x.PRW * v
 	}
 	if x.PPAU > 0 {
-		v, err := m.HitPAUCtx(ctx, x.PAU)
-		if err != nil {
+		if pau, err = m.HitPAUCtx(ctx, x.PAU); err != nil {
 			return 0, err
 		}
-		p += x.PPAU * v
 	}
-	return clampProb(p), nil
-}
-
-// clippedSumCtx evaluates
-//
-//	N/(L·B) ∫₀^{B/N} Σ_i ∫₀ᴸ [F(min(bᵢ,c)) − F(min(aᵢ,c))] dc du
-//
-// — the hit probability unconditioned over the uniform viewer position
-// (clip boundary c) and the uniform first-viewer offset u — checking
-// ctx between quadrature panels of the outer u-integral.
-func (m *Model) clippedSumCtx(ctx context.Context, f durFn, iv ivSpec) (float64, error) {
-	c := m.cfg
-	span := c.PartitionSize()
-	integrand := func(u float64) float64 {
-		var sum float64
-		for i := 0; i <= maxPartitionScan; i++ {
-			a, b, ok := iv.at(i, u)
-			if !ok {
-				break
-			}
-			// ivSpec.at clamps a to ≥ 0, so F(a)/G(a) are evaluated once
-			// here and shared with the clipped-mass computation below.
-			fa, ga := f.FG(a)
-			// The intervals are disjoint and ascending, so everything
-			// still ahead carries at most the duration tail beyond a;
-			// stop once that is negligible. This bounds the scan for
-			// configurations with astronomically many partitions.
-			if 1-fa < pauTailEps {
-				break
-			}
-			sum += f.clippedMassAt(a, b, c.L, fa, ga)
-		}
-		return sum
-	}
-	v, err := m.uIntegralCtx(ctx, integrand, span)
-	if err != nil {
-		return 0, err
-	}
-	return float64(c.N) / (c.L * c.B) * v, nil
+	return x.Combine(ff, rw, pau), nil
 }

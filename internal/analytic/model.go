@@ -3,8 +3,7 @@ package analytic
 import (
 	"context"
 	"math"
-	"reflect"
-	"sync"
+	"sort"
 
 	"vodalloc/internal/dist"
 	"vodalloc/internal/quad"
@@ -15,29 +14,15 @@ import (
 // with New. Model is immutable after construction and safe for concurrent
 // use.
 type Model struct {
-	cfg     Config
-	uPanels int
-	// durCache memoizes the (F, G) functionals per duration distribution
-	// (they depend only on the distribution and L, both fixed for the
-	// model's lifetime). Building G is the expensive part of a Hit call
-	// for grid-fallback families, so repeated evaluations — breakdowns,
-	// mixes sharing a distribution, sweeps over one model — skip it.
-	// Shared across WithUPanels copies; keyed by the distribution value.
-	durCache *sync.Map
+	cfg Config
 }
-
-// DefaultUPanels is the number of Gauss–Legendre panels used for the
-// remaining one-dimensional quadrature over the partition offset
-// u = Vf − Vc. The integrand is C¹, so 16 panels (320 nodes) deliver
-// ~1e-9 accuracy on the paper's parameter ranges.
-const DefaultUPanels = 16
 
 // New validates cfg and returns a Model for it.
 func New(cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Model{cfg: cfg, uPanels: DefaultUPanels, durCache: new(sync.Map)}, nil
+	return &Model{cfg: cfg}, nil
 }
 
 // MustNew is New that panics on invalid configurations; for tests and
@@ -50,45 +35,8 @@ func MustNew(cfg Config) *Model {
 	return m
 }
 
-// WithUPanels returns a copy of the model using the given number of
-// quadrature panels (values below 1 select DefaultUPanels).
-func (m *Model) WithUPanels(p int) *Model {
-	c := *m
-	if p < 1 {
-		p = DefaultUPanels
-	}
-	c.uPanels = p
-	return &c
-}
-
 // Config returns the model's configuration.
 func (m *Model) Config() Config { return m.cfg }
-
-// uAutoTol is the absolute convergence tolerance of the adaptive
-// u-integral. The integrals are probability masses (O(1) or smaller),
-// so agreement to 1e-10 between successive panel doublings leaves the
-// quadrature error far below the model's own approximation error.
-const uAutoTol = 1e-10
-
-// uIntegral evaluates one u-integral over [0, span]. At the default
-// panel count it uses the adaptive doubling rule: partitions far from
-// the 0/L clip have analytic integrands that converge at 4-vs-8 panels
-// (most of every scan), while near-clip partitions refine up to
-// 2×DefaultUPanels. An explicit WithUPanels choice is honored exactly.
-func (m *Model) uIntegral(f quad.Func, span float64) float64 {
-	v, _ := m.uIntegralCtx(context.Background(), f, span)
-	return v
-}
-
-// uIntegralCtx is uIntegral with cancellation checkpoints; both paths
-// share one implementation so plain and ctx-aware evaluations stay
-// bit-identical.
-func (m *Model) uIntegralCtx(ctx context.Context, f quad.Func, span float64) (float64, error) {
-	if m.uPanels == DefaultUPanels {
-		return quad.AutoPanelsCtx(ctx, f, 0, span, uAutoTol, 2*DefaultUPanels)
-	}
-	return quad.GaussPanelsCtx(ctx, f, 0, span, m.uPanels)
-}
 
 // Op identifies a VCR operation type.
 type Op int
@@ -112,82 +60,6 @@ func (o Op) String() string {
 	default:
 		return "Op(?)"
 	}
-}
-
-// durKey keys the process-wide durFn cache. The functionals depend only
-// on the distribution value and the movie length, so they are shareable
-// across Model instances.
-type durKey struct {
-	d dist.Distribution
-	l float64
-}
-
-// globalDurCache shares built durFns across Models: a sizing sweep
-// constructs one Model per (B, n) candidate but evaluates the same
-// handful of duration distributions at the same L throughout, and the
-// grid-fallback families are expensive to rebuild per point.
-var globalDurCache sync.Map
-
-// durFnFor returns the cached (F, G) pair for d, building and memoizing
-// it on first use — first in the model-local map, then in the
-// process-wide (distribution, L) cache. Distributions whose dynamic type
-// is not comparable (mixtures, empirical data) bypass both caches — the
-// maps would panic on them — and rebuild per call as before.
-func (m *Model) durFnFor(d dist.Distribution) durFn {
-	if m.durCache == nil || !reflect.TypeOf(d).Comparable() {
-		return newDurFn(d, m.cfg.L)
-	}
-	if v, ok := m.durCache.Load(d); ok {
-		return v.(durFn)
-	}
-	k := durKey{d: d, l: m.cfg.L}
-	v, ok := globalDurCache.Load(k)
-	if !ok {
-		v, _ = globalDurCache.LoadOrStore(k, newDurFn(d, m.cfg.L))
-	}
-	f := v.(durFn)
-	m.durCache.Store(d, f)
-	return f
-}
-
-// ivSpec describes, for one candidate partition index i and offset u,
-// the duration interval [a, b] that yields a hit, before clipping.
-// ok=false terminates the partition scan. A plain value (rather than the
-// closure it replaced) so building one per Hit call allocates nothing.
-type ivSpec struct {
-	scale  float64 // α for FF, γ for RW (Eq. 1 catch-up factors)
-	period float64 // L/N
-	span   float64 // B/N
-	l      float64
-	rw     bool
-}
-
-// at yields the i-th hit interval at offset u.
-func (s ivSpec) at(i int, u float64) (a, b float64, ok bool) {
-	if s.rw {
-		// Landing in the i-th partition behind: rewind
-		// x ∈ [γ·(i·L/N − u)⁺, γ·(i·L/N − u + B/N)].
-		base := float64(i)*s.period - u
-		a = s.scale * base
-		if a < 0 {
-			a = 0
-		}
-		if a >= s.l {
-			return 0, 0, false
-		}
-		return a, s.scale * (base + s.span), true
-	}
-	// Catching the i-th partition ahead: sweep
-	// x ∈ [α·(i·L/N + u − B/N)⁺, α·(i·L/N + u)].
-	base := float64(i)*s.period + u
-	a = s.scale * (base - s.span)
-	if a < 0 {
-		a = 0
-	}
-	if a >= s.l {
-		return 0, 0, false
-	}
-	return a, s.scale * base, true
 }
 
 // HitFF returns P(hit | FF) — paper Eq. (21): the probability that a
@@ -221,37 +93,36 @@ func (m *Model) HitPAU(d dist.Distribution) float64 {
 	return v
 }
 
-// pauTailEps terminates the pause partition scan once the remaining tail
-// mass of the duration distribution is negligible.
+// pauTailEps ends every partition scan once the duration mass beyond the
+// next partition's left end is negligible.
 const pauTailEps = 1e-12
 
 // pauExactScan bounds the exact per-partition pause scan; beyond it the
 // remaining tail is folded in via the long-run coverage ratio.
 const pauExactScan = 2048
 
-// ffIntervals yields the FF hit-interval spec: catching the i-th
-// partition ahead (i = 0 is the viewer's own) requires sweeping
-// x ∈ [α·(i·L/N + u − B/N)⁺, α·(i·L/N + u)] movie-minutes (Eq. 1 applied
-// to Δ_jump_l and Δ_jump_f of §3.1.2); the movie-end clip is applied by
-// clippedSum.
-func (m *Model) ffIntervals() ivSpec {
-	c := m.cfg
-	return ivSpec{scale: c.Alpha(), period: c.RestartInterval(), span: c.PartitionSize(), l: c.L}
-}
+// maxPartitionScan caps every per-partition scan. Real configurations
+// terminate via the movie-end / duration-tail breaks after at most a few
+// thousand iterations (n partitions fit in one movie length); the cap
+// only bounds adversarial parameterizations (astronomical n with
+// degenerate duration distributions) to a predictable worst case.
+const maxPartitionScan = 1 << 16
 
-// rwIntervals yields the RW hit-interval spec: landing in the i-th
-// partition behind requires rewinding x ∈ [γ·(i·L/N − u)⁺,
-// γ·(i·L/N − u + B/N)]; the position-0 clip is applied by clippedSum.
-func (m *Model) rwIntervals() ivSpec {
-	c := m.cfg
-	return ivSpec{scale: c.GammaRW(), period: c.RestartInterval(), span: c.PartitionSize(), l: c.L, rw: true}
-}
+// uAutoTol is the absolute convergence tolerance of the quadrature path's
+// per-partition u-integral. The integrals are probability masses (O(1)
+// or smaller), so agreement to 1e-10 between successive panel doublings
+// leaves the quadrature error far below the model's own approximation
+// error.
+const uAutoTol = 1e-10
+
+// uMaxPanels caps the panel doubling of one u-integral.
+const uMaxPanels = 32
 
 // pEnd evaluates P(end) = 1 − G(L)/L (paper Eq. 20): the probability a
 // fast-forward carries the viewer past the end of the movie, releasing
 // the phase-1 resources outright.
-func (m *Model) pEnd(f durFn) float64 {
-	p := 1 - f.gl(m.cfg.L)/m.cfg.L
+func (m *Model) pEnd(f *durFn) float64 {
+	p := 1 - f.Gl/m.cfg.L
 	if p < 0 {
 		return 0
 	}
@@ -261,16 +132,170 @@ func (m *Model) pEnd(f durFn) float64 {
 	return p
 }
 
-// Hit returns the op-specific hit probability.
-func (m *Model) Hit(op Op, d dist.Distribution) float64 {
+// opSum returns the unclamped hit probability of op under duration
+// distribution d: the sum of its partition terms in scan order, plus
+// P(end) for FF. When bd is non-nil it also records the terms (Within,
+// Jumps, End) and their sum (Total, bit-equal to the return value). It
+// is the single evaluation behind Hit*, HitMix and BreakdownOf.
+func (m *Model) opSum(ctx context.Context, op Op, d dist.Distribution, bd *Breakdown) (float64, error) {
+	f := durFnFor(d, m.cfg.L)
+	var end float64
+	if op == FF {
+		end = m.pEnd(f)
+	}
+	var sum float64
+	if m.cfg.B > 0 {
+		// Pure batching (B = 0) has zero-width partitions; only the
+		// ran-off-the-end release remains.
+		var err error
+		if sum, err = m.partitions(ctx, op, f, bd); err != nil {
+			return 0, err
+		}
+	} else if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	if bd != nil {
+		bd.Op, bd.End, bd.Total = op, end, sum+end
+	}
+	return sum + end, nil
+}
+
+// partitions sums op's hit mass over the candidate partitions i = 0, 1, …
+// (i = 0 is the viewer's own), each term already unconditioned over the
+// viewer position and the partition offset u and scaled to a
+// probability. With p = L/N, s = B/N and σ = α (FF) or γ (RW), partition
+// i ≥ 1 of FF or RW contributes
+//
+//	N/(L·B) · [M(σ(ip+s)) − 2M(σip) + M(σ(ip−s))] / σ
+//
+// and partition 0 contributes N/(L·B)·[M(σs)/σ − s·l·F(0)], where M is
+// durFn.m; a pause's partition i ≥ 1 contributes
+// N/B·[G(ip+s) − 2G(ip) + G(ip−s)] and partition 0 N/B·[G(s) − s·F(0)].
+// Distributions without a closed-form H integrate each partition's
+// clipped mass over u ∈ [0, s] by quadrature instead. The scan stops
+// before a partition whose left end is at or past the movie end (FF/RW:
+// every later one is empty) or leaves less than pauTailEps of duration
+// mass beyond it; a pause scan folds the tail past pauExactScan
+// partitions into one long-run coverage term. Cancellation is checked
+// once per partition and, on the quadrature path, once per panel.
+func (m *Model) partitions(ctx context.Context, op Op, f *durFn, bd *Breakdown) (float64, error) {
+	c := m.cfg
+	p, s := c.RestartInterval(), c.PartitionSize()
+	sigma, scale := 1.0, float64(c.N)/c.B
 	switch op {
 	case FF:
-		return m.HitFF(d)
+		sigma, scale = c.Alpha(), float64(c.N)/(c.L*c.B)
 	case RW:
-		return m.HitRW(d)
-	default:
-		return m.HitPAU(d)
+		sigma, scale = c.GammaRW(), float64(c.N)/(c.L*c.B)
 	}
+	closed := f.GH != nil
+	var sum float64
+	for i := 0; i <= maxPartitionScan; i++ {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		x := float64(i) * p // partition i's restart point, before σ
+		lo := math.Max(0, sigma*(x-s))
+		if (op != PAU && lo >= c.L) || 1-f.F(lo) < pauTailEps {
+			break
+		}
+		last := op == PAU && i == pauExactScan
+		var term float64
+		switch {
+		case closed && op == PAU && last:
+			// ∫₀ˢ (1 − F(ip − u))·(s/p) du: far out in the tail the CDF
+			// is nearly constant across one restart period, so the
+			// remaining hit mass is the long-run coverage fraction of the
+			// remaining tail. This bounds the scan for heavy-tailed
+			// pauses whose support stretches over millions of periods.
+			term = s / p * (s - f.G(x) + f.G(x-s))
+		case closed && op == PAU && i == 0:
+			term = f.G(s) - s*f.F(0)
+		case closed && op == PAU:
+			term = f.G(x+s) - 2*f.G(x) + f.G(x-s)
+		case closed && i == 0:
+			term = f.m(sigma*s)/sigma - s*c.L*f.F(0)
+		case closed:
+			term = (f.m(sigma*(x+s)) - 2*f.m(sigma*x) + f.m(sigma*(x-s))) / sigma
+		default:
+			var err error
+			if term, err = m.partitionQuad(ctx, op, f, sigma, i, last); err != nil {
+				return 0, err
+			}
+		}
+		v := scale * term
+		sum += v
+		if bd != nil {
+			if i == 0 {
+				bd.Within = v
+			} else {
+				bd.Jumps = append(bd.Jumps, v)
+			}
+		}
+		if last {
+			break
+		}
+	}
+	return sum, nil
+}
+
+// partitionQuad integrates partition i's hit mass over the offset
+// u ∈ [0, B/N] by adaptive Gauss–Legendre: the path for distributions
+// whose H has no closed form. tail selects the pause scan's long-run
+// coverage term. The integrand is smooth except where an end of the hit
+// interval crosses the movie end (FF/RW) or an edge of the duration's
+// support (Pareto's scale, a truncation bound); the range is cut there so
+// every piece is smooth.
+func (m *Model) partitionQuad(ctx context.Context, op Op, f *durFn, sigma float64, i int, tail bool) (float64, error) {
+	c := m.cfg
+	p, s := c.RestartInterval(), c.PartitionSize()
+	// At offset u the hit interval is σ·[e + dir·u, e + s + dir·u]: the
+	// FF interval ahead moves up with u (dir = 1, e = ip − s), the RW and
+	// pause intervals behind move down (dir = −1, e = ip).
+	dir, e := -1.0, float64(i)*p
+	if op == FF {
+		dir, e = 1, e-s
+	}
+	var integrand func(u float64) float64
+	switch {
+	case op != PAU:
+		integrand = func(u float64) float64 {
+			a := sigma * (e + dir*u)
+			return f.clippedMass(a, a+sigma*s)
+		}
+	case tail:
+		integrand = func(u float64) float64 { return (1 - f.F(e-u)) * s / p }
+	default:
+		integrand = func(u float64) float64 { return f.mass(e-u, e-u+s) }
+	}
+	kinks := []float64{f.lo, f.hi, c.L}
+	if op == PAU {
+		kinks = kinks[:2] // pauses have no movie-end clip
+	}
+	cuts := []float64{0, s}
+	for _, z := range kinks {
+		for _, end := range [...]float64{e, e + s} {
+			if u := dir * (z/sigma - end); u > 0 && u < s {
+				cuts = append(cuts, u)
+			}
+		}
+	}
+	sort.Float64s(cuts)
+	var sum float64
+	for k := 1; k < len(cuts); k++ {
+		v, err := quad.AutoPanelsCtx(ctx, integrand, cuts[k-1], cuts[k], uAutoTol, uMaxPanels)
+		if err != nil {
+			return 0, err
+		}
+		sum += v
+	}
+	return sum, nil
+}
+
+// Hit returns the op-specific hit probability.
+func (m *Model) Hit(op Op, d dist.Distribution) float64 {
+	v, _ := m.HitCtx(context.Background(), op, d)
+	return v
 }
 
 // Mix describes the VCR workload mix of paper Eq. (22): the probability
@@ -306,6 +331,26 @@ func (x Mix) Validate() error {
 	return nil
 }
 
+// Combine weighs per-operation hit probabilities by the mix (paper
+// Eq. 22): P(hit) = P(hit|FF)·P_FF + P(hit|RW)·P_RW + P(hit|PAU)·P_PAU,
+// skipping zero-probability operations (their arguments are ignored) and
+// clamping the sum to [0, 1]. HitMix is Combine over the model's three
+// values; a caller that already holds them combines without
+// re-evaluating.
+func (x Mix) Combine(ff, rw, pau float64) float64 {
+	var p float64
+	if x.PFF > 0 {
+		p += x.PFF * ff
+	}
+	if x.PRW > 0 {
+		p += x.PRW * rw
+	}
+	if x.PPAU > 0 {
+		p += x.PPAU * pau
+	}
+	return clampProb(p)
+}
+
 // HitMix returns the expected hit probability of paper Eq. (22):
 // P(hit) = P(hit|FF)·P_FF + P(hit|RW)·P_RW + P(hit|PAU)·P_PAU.
 func (m *Model) HitMix(x Mix) (float64, error) {
@@ -324,8 +369,9 @@ func clampProb(p float64) float64 {
 
 // Breakdown decomposes a hit probability into the paper's terms: the
 // within-partition component (hit_w), per-partition jump components
-// (hit_j^i for i = 1, 2, …), and for FF the ran-off-the-end component
-// P(end). Total is their sum.
+// (hit_j^i for i = 1, 2, … in scan order, zero where a partition's hit
+// interval holds no duration mass), and for FF the ran-off-the-end
+// component P(end). Total is their sum.
 type Breakdown struct {
 	Op     Op
 	Within float64
@@ -334,101 +380,11 @@ type Breakdown struct {
 	Total  float64
 }
 
-// BreakdownOf computes the per-term decomposition of Hit(op, d). The
-// sum of the parts equals the corresponding Hit value to quadrature
-// accuracy; tests rely on this identity.
+// BreakdownOf computes the per-term decomposition of Hit(op, d). It runs
+// the same partition scan as Hit, so Total equals the unclamped hit
+// probability bit for bit; Hit(op, d) is Total clamped to [0, 1].
 func (m *Model) BreakdownOf(op Op, d dist.Distribution) Breakdown {
-	bd := Breakdown{Op: op}
-	f := m.durFnFor(d)
-	if op == FF {
-		bd.End = m.pEnd(f)
-	}
-	if m.cfg.B == 0 {
-		bd.Total = bd.End
-		return bd
-	}
-	c := m.cfg
-	span := c.PartitionSize()
-	period := c.RestartInterval()
-	scale := float64(c.N) / (c.L * c.B)
-
-	if op == PAU {
-		// Pause intervals are unclipped and periodic; scan exactly up to
-		// pauExactScan partitions, then lump the remaining tail in via
-		// the long-run coverage ratio (one final jump entry), mirroring
-		// HitPAU.
-		scale = float64(c.N) / c.B
-		coverage := span / period
-		for i := 0; i <= pauExactScan; i++ {
-			var contrib float64
-			if i == pauExactScan {
-				contrib = scale * m.uIntegral(func(u float64) float64 {
-					a := math.Max(0, float64(i)*period-u)
-					return (1 - f.F(a)) * coverage
-				}, span)
-			} else {
-				contrib = scale * m.uIntegral(func(u float64) float64 {
-					a := float64(i)*period - u
-					b := a + span
-					if a < 0 {
-						a = 0
-					}
-					return f.mass(a, b)
-				}, span)
-			}
-			if i == 0 {
-				bd.Within = contrib
-			} else if contrib < 1e-15 {
-				break
-			} else {
-				bd.Jumps = append(bd.Jumps, contrib)
-			}
-		}
-		bd.Total = bd.Within + sum(bd.Jumps)
-		return bd
-	}
-
-	var iv ivSpec
-	switch op {
-	case FF:
-		iv = m.ffIntervals()
-	default:
-		iv = m.rwIntervals()
-	}
-
-	// Hit intervals move strictly right as i grows, so once a partition
-	// index contributes nothing the remainder cannot contribute either.
-	for i := 0; i <= maxPartitionScan; i++ {
-		contrib := scale * m.uIntegral(func(u float64) float64 {
-			a, b, ok := iv.at(i, u)
-			if !ok || 1-f.F(a) < pauTailEps {
-				return 0
-			}
-			return f.clippedMass(a, b, c.L)
-		}, span)
-		if i == 0 {
-			bd.Within = contrib
-		} else if contrib == 0 {
-			break
-		} else {
-			bd.Jumps = append(bd.Jumps, contrib)
-		}
-	}
-	bd.Total = bd.Within + sum(bd.Jumps) + bd.End
+	var bd Breakdown
+	_, _ = m.opSum(context.Background(), op, d, &bd) // Background never cancels
 	return bd
-}
-
-// maxPartitionScan caps every per-partition scan. Real configurations
-// terminate via the movie-end / duration-tail breaks after at most a few
-// thousand iterations (n partitions fit in one movie length); the cap
-// only bounds adversarial parameterizations (astronomical n with
-// degenerate duration distributions) to a predictable worst case.
-const maxPartitionScan = 1 << 16
-
-func sum(xs []float64) float64 {
-	var s float64
-	for _, v := range xs {
-		s += v
-	}
-	return s
 }

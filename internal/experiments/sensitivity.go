@@ -74,9 +74,6 @@ func SensitivityCtx(ctx context.Context, o Options) ([]SensRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Deterministic durations make the quadrature integrand piecewise
-	// constant; raise the panel count so the steps resolve.
-	model = model.WithUPanels(128)
 
 	think := dist.MustExponential(thinkMean)
 	type cell struct {

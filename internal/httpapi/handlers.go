@@ -257,10 +257,9 @@ func handleHit(ctx context.Context, req HitRequest) (HitResponse, error) {
 	if resp.HitPAU, err = model.HitPAUCtx(ctx, profile.DurPAU); err != nil {
 		return HitResponse{}, err
 	}
-	resp.Hit, err = model.HitMixCtx(ctx, sizing.MixFromProfile(profile))
-	if err != nil {
-		return HitResponse{}, err
-	}
+	// toProfile validated the mix, so combining the three values is
+	// HitMixCtx without evaluating them again.
+	resp.Hit = sizing.MixFromProfile(profile).Combine(resp.HitFF, resp.HitRW, resp.HitPAU)
 	if req.Breakdown {
 		resp.Breakdowns = map[string]BreakdownJSON{}
 		for op, d := range map[analytic.Op]dist.Distribution{

@@ -2,12 +2,18 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"vodalloc/internal/analytic"
+	"vodalloc/internal/sizing"
 )
 
 func postJSON(t *testing.T, srv *httptest.Server, path, body string) (*http.Response, []byte) {
@@ -77,6 +83,55 @@ func TestHitEndpoint(t *testing.T) {
 	}
 	if bd := out.Breakdowns["FF"]; math.Abs(bd.Total-out.HitFF) > 1e-6 {
 		t.Error("FF breakdown total mismatch")
+	}
+}
+
+// TestHitCombinesOnce checks that /v1/hit's mixed hit, which combines
+// the three per-operation values the handler already evaluated, is
+// bit-equal to HitMixCtx evaluating the same mix from scratch, on
+// random requests over closed-form and grid duration families and
+// uneven operation mixes.
+func TestHitCombinesOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	specs := []func() string{
+		func() string { return fmt.Sprintf("exp:%.4f", 2+10*rng.Float64()) },
+		func() string { return fmt.Sprintf("gamma:%.3f:%.3f", 0.5+3*rng.Float64(), 1+4*rng.Float64()) },
+		func() string { return fmt.Sprintf("uniform:%.3f:%.3f", 4*rng.Float64(), 5+10*rng.Float64()) },
+		func() string { return fmt.Sprintf("weibull:%.3f:%.3f", 0.8+rng.Float64(), 4+6*rng.Float64()) },
+	}
+	spec := func() string { return specs[rng.Intn(len(specs))]() }
+	for k := 0; k < 24; k++ {
+		l := 60 + 60*rng.Float64()
+		pff, prw := rng.Float64()/2, rng.Float64()/2
+		if k%4 == 0 {
+			pff = 0 // a zero-probability operation is skipped in both
+		}
+		req := HitRequest{
+			Config: ConfigJSON{L: l, B: l * rng.Float64(), N: 1 + rng.Intn(60)},
+			Profile: ProfileJSON{
+				PFF: pff, PRW: prw, PPAU: 1 - pff - prw,
+				DurFF: spec(), DurRW: spec(), DurPAU: spec(),
+			},
+		}
+		resp, err := handleHit(context.Background(), req)
+		if err != nil {
+			t.Fatalf("request %d %+v: %v", k, req, err)
+		}
+		cfg, err := req.Config.toConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		profile, err := req.Profile.toProfile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := analytic.MustNew(cfg).HitMixCtx(context.Background(), sizing.MixFromProfile(profile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(resp.Hit) != math.Float64bits(want) {
+			t.Errorf("request %d %+v: handler hit %.17g, HitMixCtx %.17g", k, req, resp.Hit, want)
+		}
 	}
 }
 

@@ -15,7 +15,8 @@
 # experiment (fluid backend up to ~12M concurrent viewers with DES
 # comparison rungs); a bench-regression stage replays the quick
 # experiment sweep against the recorded BENCH_sweeps.json baseline and
-# warns on >15% slowdown. A final chaos
+# warns on >15% slowdown, and a golden stage diffs that sweep's tables
+# against testdata/exp_all_quick.golden (amd64 only). A final chaos
 # smoke boots vodserverd on an ephemeral port, soaks it with vodchaos
 # for a few seconds (mixed traffic, client cancellations, oversized and
 # malformed bodies), then SIGTERMs it mid-run and requires zero
@@ -84,9 +85,31 @@ echo "ci: fluid smoke passed"
 # log (machines differ), a missing or malformed artifact fails ---
 bench_dir=$(mktemp -d)
 go run ./cmd/vodbench -exp all -quick -json "$bench_dir/bench.json" \
-    -baseline BENCH_sweeps.json >/dev/null
-rm -rf "$bench_dir"
+    -baseline BENCH_sweeps.json >"$bench_dir/exp_all_quick.txt"
 echo "ci: bench regression stage passed"
+
+# --- golden experiment output: the same sweep's stdout must match
+# testdata/exp_all_quick.golden byte for byte, apart from the scale
+# table's wall-clock viewer-min/s column, which is masked on both sides.
+# The golden was recorded on linux/amd64; other architectures may fuse
+# multiply-adds and move low-order bits, so the stage is skipped there ---
+mask_wall() {
+    awk '/viewer-min\/s/ { print; scale = 1; next }
+        scale && /^ / { sub(/[^ ]+$/, "*"); print; next }
+        { scale = 0; print }' "$1"
+}
+if [ "$(go env GOARCH)" = amd64 ]; then
+    mask_wall "$bench_dir/exp_all_quick.txt" >"$bench_dir/got.txt"
+    mask_wall testdata/exp_all_quick.golden >"$bench_dir/want.txt"
+    if ! diff -u "$bench_dir/want.txt" "$bench_dir/got.txt"; then
+        echo "ci: vodbench -exp all -quick differs from testdata/exp_all_quick.golden" >&2
+        exit 1
+    fi
+    echo "ci: golden experiment output stage passed"
+else
+    echo "ci: golden experiment output recorded on amd64, GOARCH=$(go env GOARCH); stage skipped"
+fi
+rm -rf "$bench_dir"
 
 # --- chaos smoke ---
 tmp=$(mktemp -d)
